@@ -84,7 +84,12 @@ def _history_arg(value: str) -> HistoryFunction:
     if value == "zero":
         return HistoryFunction.zero()
     with open(value, encoding="utf-8") as handle:
-        table = json.load(handle)
+        try:
+            table = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise RelwlError(
+                f"{value}:{exc.lineno}: history is not valid JSON: {exc.msg}"
+            ) from None
     return HistoryFunction.from_table(table)
 
 
@@ -206,7 +211,10 @@ def _cmd_logic(args) -> int:
         graph = graph.with_pair_coloring(default_pair_coloring(graph))
     table = eval_rgfo3_all(graph, formula)
     if args.pairs != "all":
-        u_name, v_name = args.pairs.split(",")
+        names = args.pairs.split(",")
+        if len(names) != 2:
+            raise RelwlError(f"--pairs expects 'all' or 'u,v', got {args.pairs!r}")
+        u_name, v_name = names
         key = (graph.node_id(u_name), graph.node_id(v_name))
         table = {key: table[key]}
     doc["truth"] = _format_truth_table(
@@ -344,10 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RelwlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RelwlError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

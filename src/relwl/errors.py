@@ -25,7 +25,12 @@ class PreconditionError(RelwlError):
 
 
 class NodeBudgetError(RelwlError):
-    """Tree construction exceeded the configured node budget."""
+    """A construction would exceed the configured node budget.
+
+    Raised by unravelling trees beyond the budget's node count, and by
+    arity-2 refinement tests whose index graph over all node pairs has more
+    nodes plus edges than the budget.
+    """
 
 
 class FormulaSyntaxError(RelwlError):

@@ -102,13 +102,19 @@ class KnowledgeGraph:
     _incoming: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    _node_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _relation_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = len(self.node_names), len(self.relation_names)
-        if len(set(self.node_names)) != n:
+        node_index = {name: i for i, name in enumerate(self.node_names)}
+        relation_index = {name: i for i, name in enumerate(self.relation_names)}
+        if len(node_index) != n:
             raise ValidationError("duplicate node names")
-        if len(set(self.relation_names)) != m:
+        if len(relation_index) != m:
             raise ValidationError("duplicate relation names")
+        object.__setattr__(self, "_node_index", node_index)
+        object.__setattr__(self, "_relation_index", relation_index)
         if len(self.node_colors) != n:
             raise ValidationError("node coloring must cover every node")
         for c in self.node_colors:
@@ -136,14 +142,14 @@ class KnowledgeGraph:
 
     def node_id(self, name: str) -> int:
         try:
-            return self.node_names.index(name)
-        except ValueError:
+            return self._node_index[name]
+        except KeyError:
             raise UnknownEntityError(f"unknown node {name!r}") from None
 
     def relation_id(self, name: str) -> int:
         try:
-            return self.relation_names.index(name)
-        except ValueError:
+            return self._relation_index[name]
+        except KeyError:
             raise UnknownEntityError(f"unknown relation {name!r}") from None
 
     def _resolve_node(self, v: int | str) -> int:
@@ -206,15 +212,13 @@ class KnowledgeGraph:
         """Recolor nodes from a name -> label mapping; unlisted nodes keep
         the default label."""
         for name in labels:
-            if name not in self.node_names:
+            if name not in self._node_index:
                 raise ValidationError(f"color assignment for unknown node {name!r}")
-        vocab: list[str] = []
-        colors = []
-        for name in self.node_names:
-            label = labels.get(name, DEFAULT_COLOR_LABEL)
-            if label not in vocab:
-                vocab.append(label)
-            colors.append(vocab.index(label))
+        vocab: dict[str, int] = {}
+        colors = [
+            vocab.setdefault(labels.get(name, DEFAULT_COLOR_LABEL), len(vocab))
+            for name in self.node_names
+        ]
         return KnowledgeGraph(
             self.node_names,
             self.relation_names,
@@ -240,13 +244,11 @@ def from_triples(
     order; ``node_order`` / ``relation_order`` seed the interning so callers
     can pin the ordering of entities that appear only late (or never).
     """
-    nodes: list[str] = []
-    relations: list[str] = []
+    nodes: dict[str, int] = {}
+    relations: dict[str, int] = {}
 
-    def intern(pool: list[str], name: str) -> int:
-        if name not in pool:
-            pool.append(name)
-        return pool.index(name)
+    def intern(pool: dict[str, int], name: str) -> int:
+        return pool.setdefault(name, len(pool))
 
     for name in node_order:
         intern(nodes, name)
@@ -265,18 +267,30 @@ def from_triples(
 
 def _read_tsv(path: Path, n_fields: int) -> list[tuple[int, list[str]]]:
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields or any(f == "" for f in fields):
-                raise TripleFileError(
-                    f"{path}:{lineno}: expected {n_fields} non-empty "
-                    f"tab-separated fields, got {fields!r}"
-                )
-            rows.append((lineno, fields))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.rstrip("\r\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != n_fields or any(f == "" for f in fields):
+                    raise TripleFileError(
+                        f"{path}:{lineno}: expected {n_fields} non-empty "
+                        f"tab-separated fields, got {fields!r}"
+                    )
+                rows.append((lineno, fields))
+    except UnicodeDecodeError:
+        # the decoder reads ahead in chunks, so locate the bad byte's line
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise TripleFileError(
+                f"{path}:{lineno}: not valid UTF-8 ({exc.reason})"
+            ) from None
+        raise
     return rows
 
 
@@ -301,7 +315,7 @@ def load_graph(
     if colors_file is not None:
         assignments: dict[str, str] = {}
         for lineno, (node, label) in _read_tsv(Path(colors_file), 2):
-            if node not in graph.node_names:
+            if node not in graph._node_index:
                 raise ValidationError(
                     f"{colors_file}:{lineno}: color for unknown node {node!r}"
                 )
@@ -317,7 +331,7 @@ def load_graph(
         flat: dict[int, str] = {}
         for lineno, (a, b, label) in _read_tsv(Path(pair_colors_file), 3):
             for name in (a, b):
-                if name not in graph.node_names:
+                if name not in graph._node_index:
                     raise ValidationError(
                         f"{pair_colors_file}:{lineno}: unknown node {name!r}"
                     )
@@ -333,13 +347,8 @@ def load_graph(
                 f"{pair_colors_file}: pair coloring must cover all {n * n} "
                 f"ordered pairs, got {len(flat)}"
             )
-        vocab: list[str] = []
-        colors = []
-        for idx in range(n * n):
-            label = flat[idx]
-            if label not in vocab:
-                vocab.append(label)
-            colors.append(vocab.index(label))
+        vocab: dict[str, int] = {}
+        colors = [vocab.setdefault(flat[idx], len(vocab)) for idx in range(n * n)]
         graph = graph.with_pair_coloring(PairColoring(n, tuple(colors), tuple(vocab)))
 
     return graph
@@ -363,7 +372,7 @@ def default_pair_coloring(G: KnowledgeGraph, mode: str = "diagonal") -> PairColo
         colors = tuple(0 if u == v else 1 for u in range(n) for v in range(n))
         return PairColoring(n, colors, labels)
     if mode == "colored-diagonal":
-        vocab: list[str] = []
+        vocab: dict[str, int] = {}
         colors_list = []
         for u in range(n):
             for v in range(n):
@@ -374,9 +383,7 @@ def default_pair_coloring(G: KnowledgeGraph, mode: str = "diagonal") -> PairColo
                         "eq" if u == v else "neq",
                     )
                 )
-                if label not in vocab:
-                    vocab.append(label)
-                colors_list.append(vocab.index(label))
+                colors_list.append(vocab.setdefault(label, len(vocab)))
         return PairColoring(n, tuple(colors_list), tuple(vocab))
     raise ValidationError(f"unknown pair coloring mode {mode!r}")
 

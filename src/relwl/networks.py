@@ -820,7 +820,11 @@ def score_link(
     logit = float(np.asarray(decoder.output_weights, dtype=float) @ hidden) + (
         decoder.output_bias
     )
-    return 1.0 / (1.0 + math.exp(-logit))
+    try:
+        return 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:  # logit below about -709: exp(logit) underflows instead
+        e = math.exp(logit)
+        return e / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

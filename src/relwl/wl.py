@@ -1,13 +1,28 @@
 """Color refinement over knowledge graphs, for nodes and for node pairs.
 
-Five tests share one engine.  ``rwl1`` refines nodes by the multiset of
-(incoming neighbor color, relation) pairs; ``rawl2`` refines ordered pairs
-``(u, v)`` by moving the second coordinate along incoming facts; ``rwl2``
-additionally moves the first coordinate and keeps the two multisets
-separate.  The ``+`` variants run the same rules on the graph augmented
-with inverse relations.  Each round assigns fresh dense color ids to
-distinct signatures (multisets canonicalized by sorting), so colorings are
-meaningful only as partitions and only within one trace.
+All five tests are one refinement, ``rwl1``, run by one numpy kernel over
+an *index graph* held as int arrays ``src`` / ``dst`` / ``rel``:
+
+* ``rwl1`` refines the nodes of G by the multiset of (incoming neighbor
+  color, relation) pairs;
+* ``rawl2`` refines ordered pairs ``(u, v)`` by moving the second
+  coordinate along incoming facts, i.e. it is ``rwl1`` on the pair graph
+  with an edge ``(a, w) -> (a, v)`` tagged ``r`` for each fact ``r(w, v)``
+  (node ``(a, v)`` has index ``a * n + v``);
+* ``rwl2`` additionally moves the first coordinate: its index graph adds
+  ``(w, b) -> (v, b)`` tagged ``r + m``, so the tag records which
+  coordinate moved and the one multiset keeps the two sides apart;
+* the ``+`` variants build the same graphs from ``augment(G)``, the graph
+  with inverse relations.
+
+Each round sorts the edges by (target, code) with ``code = color[src] * m
++ rel``, lays each node out as the row ``(own color, sorted codes...)``
+padded with ``-1``, and ranks the distinct rows lexicographically into
+dense ids.  No hashing is involved, so partitions are exact.  The ``-1``
+padding orders a row before every row it is a proper prefix of, so for
+``rwl1`` and ``rawl2(+)`` the ids are those of sorting the signatures
+``(own, sorted((color, rel)))`` as Python tuples.  Colorings are
+nevertheless meaningful only as partitions and only within one trace.
 
 The node's own contribution to its signature is taken at iteration
 ``f(t)`` for a history function ``f`` (identity by default); neighbor
@@ -17,13 +32,20 @@ colors are always taken at iteration ``t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
-from .errors import PreconditionError, UnknownEntityError, ValidationError
-from .graphs import KnowledgeGraph, augment
+import numpy as np
+
+from .errors import (
+    NodeBudgetError,
+    PreconditionError,
+    UnknownEntityError,
+    ValidationError,
+)
+from .graphs import KnowledgeGraph, _node_budget, augment
 
 TEST_IDS = ("rwl1", "rawl2", "rwl2", "rawl2+", "rwl2+")
-DEFAULT_MAX_PAIR_NODES = 64
 
 
 class _UnknownVerdict:
@@ -125,10 +147,14 @@ class WLTrace:
             raise UnknownEntityError(f"pair ({u},{v}) out of range")
         return u * self.n + v
 
+    @cached_property
+    def _node_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.node_names)}
+
     def _node_id(self, name: str) -> int:
         try:
-            return self.node_names.index(name)
-        except ValueError:
+            return self._node_index[name]
+        except KeyError:
             raise UnknownEntityError(f"unknown node {name!r}") from None
 
     def coloring(self, t: int) -> tuple[int, ...]:
@@ -194,10 +220,144 @@ def equivalent(a, b) -> bool:
     return refines(a, b) and refines(b, a)
 
 
-def _dense_renumber(signatures: list) -> tuple[int, ...]:
-    # Sorted-signature order keeps ids invariant under node permutations.
-    order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return tuple(order[sig] for sig in signatures)
+def _index_graph(base: str, H: KnowledgeGraph):
+    """The graph whose ``rwl1`` refinement is test ``base`` on H's facts.
+
+    Returns ``(src, dst, rel, relation count)``; pair ``(a, b)`` is node
+    ``a * n + b``.
+    """
+    facts = np.array(H.facts, dtype=np.int64).reshape(-1, 3)
+    rel, src, dst = facts[:, 0], facts[:, 1], facts[:, 2]
+    n, m = H.n, len(H.relation_names)
+    if base == "rwl1":
+        return src, dst, rel, m
+    rows = np.arange(n, dtype=np.int64)[:, None] * n
+    # (a, w) -> (a, v) for every r(w, v): the second coordinate moves
+    s2, d2, r2 = (rows + src).ravel(), (rows + dst).ravel(), np.tile(rel, n)
+    if base == "rawl2":
+        return s2, d2, r2, m
+    # (w, b) -> (v, b), tagged r + m: the first coordinate moves
+    cols = np.arange(n, dtype=np.int64)[:, None]
+    s1, d1, r1 = (src * n + cols).ravel(), (dst * n + cols).ravel(), np.tile(rel + m, n)
+    return (
+        np.concatenate((s1, s2)),
+        np.concatenate((d1, d2)),
+        np.concatenate((r1, r2)),
+        2 * m,
+    )
+
+
+def _dense(keys: np.ndarray) -> np.ndarray:
+    """Dense ids of ``keys`` in ascending order of value."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return ids
+
+
+class _RowLayout:
+    """Where each row of a ranking lives in a flat value array.
+
+    Row ``i`` is ``values[starts[i]:starts[i] + lengths[i]]``.  The rows are
+    laid out as a matrix of indices into the values, padded with the index
+    of a trailing ``-1`` sentinel.  When a few rows are much longer than the
+    rest, the width is cut to twice the mean length and the longer rows'
+    tails get a layout of their own, ranked into one more column, so the
+    matrix stays within about twice the input size.
+    """
+
+    def __init__(self, starts: np.ndarray, lengths: np.ndarray, sentinel: int):
+        count = len(starts)
+        total = int(lengths.sum())
+        width = int(lengths.max(initial=0))
+        if count * width > 2 * total + count:
+            width = 2 * (total // count) + 1
+        self.long = np.flatnonzero(lengths > width)
+        self.tails = None
+        if self.long.size:
+            self.tails = _RowLayout(
+                starts[self.long] + width, lengths[self.long] - width, sentinel
+            )
+        offsets = np.arange(width + (self.tails is not None))
+        self.gather = np.where(
+            offsets < np.minimum(lengths, width)[:, None], starts[:, None] + offsets, sentinel
+        )
+
+    def rank(self, values: np.ndarray) -> np.ndarray:
+        """Dense ids of the rows in lexicographic order, a proper prefix
+        first (as Python orders tuples); ``values`` are non-negative but for
+        the sentinel.
+
+        Each row is read as a number in base ``radix`` whose digits are its
+        entries plus one (0 for padding).  Blocks of digits are folded into
+        int64 keys, and the keys are renumbered densely before each further
+        block, so no key overflows.
+        """
+        digits = values[self.gather]
+        digits += 1
+        count = len(digits)
+        if self.tails is not None:
+            digits[self.long, -1] = self.tails.rank(values) + 1
+        if digits.size == 0:
+            return np.zeros(count, dtype=np.int64)
+        radix = int(digits.max()) + 1
+        if count * radix >= 2**62:  # renumbering the digits keeps their order
+            digits = _dense(digits.ravel()).reshape(digits.shape)
+            radix = int(digits.max()) + 1
+        per = max(1, (62 - count.bit_length()) // radix.bit_length())
+        keys = None
+        for c in range(0, digits.shape[1], per):
+            block = digits[:, c : c + per]
+            word = block @ radix ** np.arange(block.shape[1] - 1, -1, -1)
+            keys = word if keys is None else _dense(keys) * radix ** block.shape[1] + word
+        return _dense(keys)
+
+
+class _Refiner:
+    """One refinement round of ``rwl1`` over a fixed index graph."""
+
+    def __init__(self, num_nodes: int, src, dst, rel, m: int):
+        order = np.argsort(dst, kind="stable")
+        self.src, self.dst, self.rel, self.m = src[order], dst[order], rel[order], m
+        degree = np.bincount(self.dst, minlength=num_nodes)
+        first_edge = np.cumsum(degree) - degree
+        # node v's row (own color, codes...) occupies flat[start[v]:][:1 + degree[v]]
+        starts = first_edge + np.arange(num_nodes)
+        self.own_at = starts
+        rank_in_row = np.arange(len(self.dst)) - first_edge[self.dst]
+        self.code_at = starts[self.dst] + 1 + rank_in_row
+        self.flat = np.full(num_nodes + len(self.dst) + 1, -1, dtype=np.int64)
+        self.layout = _RowLayout(starts, degree + 1, len(self.flat) - 1)
+
+    def __call__(self, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
+        codes = cols[self.src]
+        codes *= self.m
+        codes += self.rel
+        span = (int(cols.max(initial=0)) + 1) * self.m
+        if len(cols) * span < 2**63:  # sort (target, code) as one int64 key
+            shift = self.dst * span
+            codes += shift
+            codes.sort()
+            codes -= shift
+        else:
+            codes = codes[np.lexsort((codes, self.dst))]
+        self.flat[self.own_at] = own
+        self.flat[self.code_at] = codes
+        return self.layout.rank(self.flat)
+
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two dense colorings induce the same partition: as many
+    classes, and each class of ``a`` inside one class of ``b``."""
+    if a.size == 0:
+        return True
+    k = int(a.max()) + 1
+    if k != int(b.max()) + 1:
+        return False
+    image = np.empty(k, dtype=np.int64)
+    image[a] = b
+    return bool(np.array_equal(image[a], b))
 
 
 def run_test(
@@ -207,7 +367,7 @@ def run_test(
     horizon: int | str = "stabilize",
     *,
     allow_non_tnd: bool = False,
-    max_pair_nodes: int = DEFAULT_MAX_PAIR_NODES,
+    node_budget: int | None = None,
 ) -> WLTrace:
     """Run one refinement test and record every iteration's coloring.
 
@@ -215,16 +375,19 @@ def run_test(
     stops at the first iteration whose partition matches its predecessor's
     (guaranteed within |V| iterations for arity 1 and |V|^2 for arity 2).
     Arity-2 tests require a pair coloring satisfying target node
-    distinguishability unless ``allow_non_tnd`` waives the check; they
-    materialize all pairs, so graphs above ``max_pair_nodes`` are rejected.
+    distinguishability unless ``allow_non_tnd`` waives the check.  They
+    refine an index graph over all |V|^2 pairs, and raise
+    :class:`NodeBudgetError` when its nodes plus edges exceed
+    ``node_budget`` (default 10**6, overridable via the
+    ``RELWL_NODE_BUDGET`` environment variable).
     """
     if test_id not in TEST_IDS:
         raise ValidationError(f"unknown test {test_id!r}; expected one of {TEST_IDS}")
     history = history or HistoryFunction.identity()
-    arity = 1 if test_id == "rwl1" else 2
-
-    H = augment(G) if test_id.endswith("+") else G
+    base = test_id.rstrip("+")
+    arity = 1 if base == "rwl1" else 2
     n = G.n
+    H = augment(G) if test_id.endswith("+") else G
     if arity == 2:
         if G.pair_coloring is None:
             raise PreconditionError(f"{test_id} needs a pair coloring on the graph")
@@ -233,61 +396,38 @@ def run_test(
                 "pair coloring lacks target node distinguishability; "
                 "pass allow_non_tnd=True to waive"
             )
-        if n > max_pair_nodes:
-            raise ValidationError(
-                f"arity-2 tests materialize all pairs; |V|={n} exceeds the "
-                f"cap of {max_pair_nodes}"
+        size = n * n + n * len(H.facts) * (2 if base == "rwl2" else 1)
+        budget = _node_budget(node_budget)
+        if size > budget:
+            raise NodeBudgetError(
+                f"{test_id} refines {n * n} pairs; its index graph has "
+                f"{size} nodes plus edges, over the budget of {budget}"
             )
         initial = G.pair_coloring.colors
     else:
         initial = G.node_colors
+    if horizon != "stabilize" and (not isinstance(horizon, int) or horizon < 0):
+        raise ValidationError("horizon must be 'stabilize' or an iteration count")
 
-    incoming = [H.incoming(v) for v in range(n)]
-    base = test_id.rstrip("+")
-
-    def next_colors(cols: tuple[int, ...], own: tuple[int, ...]) -> tuple[int, ...]:
-        sigs: list = []
-        if base == "rwl1":
-            for v in range(n):
-                ms = sorted((cols[w], rel) for rel, w in incoming[v])
-                sigs.append((own[v], tuple(ms)))
-        elif base == "rawl2":
-            for u in range(n):
-                row = u * n
-                for v in range(n):
-                    ms = sorted((cols[row + w], rel) for rel, w in incoming[v])
-                    sigs.append((own[row + v], tuple(ms)))
-        else:  # rwl2: both coordinates move, multisets kept separate
-            for u in range(n):
-                row = u * n
-                for v in range(n):
-                    first = sorted((cols[w * n + v], rel) for rel, w in incoming[u])
-                    second = sorted((cols[row + w], rel) for rel, w in incoming[v])
-                    sigs.append((own[row + v], tuple(first), tuple(second)))
-        return _dense_renumber(sigs)
-
-    colorings = [_dense_renumber(list(initial))]
+    refine = _Refiner(len(initial), *_index_graph(base, H))
+    colorings = [_dense(np.array(initial, dtype=np.int64))]
     stabilized_at: int | None = None
-    if horizon == "stabilize":
-        limit = len(initial) + 1
-        for t in range(limit):
-            nxt = next_colors(colorings[t], colorings[history(t)])
-            colorings.append(nxt)
-            if equivalent(nxt, colorings[t]):
-                stabilized_at = t + 1
+    steps = len(initial) + 1 if horizon == "stabilize" else horizon
+    for t in range(steps):
+        colorings.append(refine(colorings[t], colorings[history(t)]))
+        if stabilized_at is None and _same_partition(colorings[-1], colorings[t]):
+            stabilized_at = t + 1
+            if horizon == "stabilize":
                 break
-        else:  # pragma: no cover - impossible by monotone refinement
-            raise AssertionError("refinement failed to stabilize")
-    else:
-        if not isinstance(horizon, int) or horizon < 0:
-            raise ValidationError("horizon must be 'stabilize' or an iteration count")
-        for t in range(horizon):
-            nxt = next_colors(colorings[t], colorings[history(t)])
-            colorings.append(nxt)
-            if stabilized_at is None and equivalent(nxt, colorings[t]):
-                stabilized_at = t + 1
+    if horizon == "stabilize" and stabilized_at is None:  # pragma: no cover
+        raise AssertionError("refinement failed to stabilize")
     return WLTrace(
-        test_id, arity, n, G.node_names, tuple(colorings), stabilized_at
+        test_id,
+        arity,
+        n,
+        G.node_names,
+        tuple(tuple(c.tolist()) for c in colorings),
+        stabilized_at,
     )
 
 

@@ -282,3 +282,44 @@ def test_failing_claims_carry_witnesses(monkeypatch):
     witness = results[0].witness
     assert set(witness) >= {"graph", "pair_a", "pair_b", "expected", "observed"}
     assert witness["graph"]["facts"]
+
+
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+def test_malformed_history_json_exits_2(capsys, tmp_path):
+    table = tmp_path / "hist.json"
+    table.write_text("[0,\n 0,,]", encoding="utf-8")
+    code, out, err = _run(
+        capsys, "run", "--test", "rwl1", "--graph", "fixture:gb",
+        "--history", str(table), "--iters", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"{table}:2:" in _one_error_line(err)
+
+
+def test_non_utf8_tsv_exits_2(capsys, tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"a\tr\tb\nb\tr\tc\xff\n")
+    code, out, err = _run(capsys, "run", "--test", "rwl1", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}:2:" in _one_error_line(err)
+
+
+def test_directory_as_graph_exits_2(capsys, tmp_path):
+    code, out, err = _run(capsys, "run", "--test", "rwl1", "--graph", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(tmp_path) in _one_error_line(err)
+
+
+def test_logic_eval_malformed_pairs_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "logic", "eval", "--formula", "DIA[r1,1](A:neq)",
+        "--graph", "fixture:ga", "--pairs", "u",
+    )
+    assert code == 2 and out == ""
+    assert "--pairs" in _one_error_line(err)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -408,6 +409,13 @@ def test_score_link_zero_decoder(graph_a):
     for u in graph_a.node_names:
         for v in graph_a.node_names:
             assert score_link(spec, decoder, graph_a, "r1", u, v) == 0.5
+
+
+def test_score_link_very_negative_logit(graph_a):
+    spec = _float_cmpnn(graph_a)
+    for bias, expected in ((-800.0, 0.0), (-700.0, 1.0 / (1.0 + math.exp(700.0)))):
+        decoder = replace(MLPDecoder.zeros(d_in=2, hidden=8), output_bias=bias)
+        assert score_link(spec, decoder, graph_a, "r1", "u", "v") == expected
 
 
 def test_score_link_rejects_exact_mode(graph_a):

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relwl.corpus import random_history, random_kg
-from relwl.errors import PreconditionError, UnknownEntityError, ValidationError
+from relwl.errors import (
+    NodeBudgetError,
+    PreconditionError,
+    UnknownEntityError,
+    ValidationError,
+)
 from relwl.graphs import (
     default_pair_coloring,
     from_triples,
@@ -152,8 +157,38 @@ def test_arity2_tnd_waiver():
 
 def test_arity2_node_cap():
     g = _diag(random_kg(0, 5, 1, 0.2))
-    with pytest.raises(ValidationError):
-        run_test("rawl2", g, max_pair_nodes=2)
+    size = g.n * g.n + g.n * len(g.facts)  # pair-graph nodes plus edges
+    with pytest.raises(NodeBudgetError):
+        run_test("rawl2", g, node_budget=size - 1)
+    assert run_test("rawl2", g, node_budget=size).stabilized_at is not None
+
+
+def test_arity2_budget_counts_both_moving_coordinates():
+    g = _diag(random_kg(0, 5, 1, 0.2))
+    size = g.n * g.n + 2 * g.n * len(g.facts)
+    with pytest.raises(NodeBudgetError):
+        run_test("rwl2", g, node_budget=size - 1)
+    assert run_test("rwl2", g, node_budget=size).stabilized_at is not None
+
+
+def test_arity2_budget_from_environment(monkeypatch):
+    g = _diag(random_kg(0, 5, 1, 0.2))
+    monkeypatch.setenv("RELWL_NODE_BUDGET", "3")
+    with pytest.raises(NodeBudgetError):
+        run_test("rawl2", g)
+
+
+def test_rawl2_runs_on_100_nodes_by_default():
+    names = [f"x{i}" for i in range(100)]
+    g = _diag(
+        from_triples(
+            [(names[i], "r", names[(i * 7 + 3) % 100]) for i in range(100)],
+            node_order=names,
+        )
+    )
+    trace = run_test("rawl2", g, horizon="stabilize")
+    assert len(trace.colorings[0]) == 100 * 100
+    assert trace.stabilized_at is not None
 
 
 def test_unknown_test_id(graph_a):
