@@ -30,7 +30,6 @@ from .graphs import (
     default_pair_coloring,
     from_triples,
     load_graph,
-    neighborhood,
     permute_nodes,
     product_square,
     unravel,

@@ -88,8 +88,7 @@ class KnowledgeGraph:
 
     ``facts`` holds deduplicated ``(relation, source, target)`` id triples in
     sorted order.  ``node_colors[v]`` is a dense color id into
-    ``color_labels``.  ``features`` optionally maps each node to a numeric
-    vector (stored as tuples).
+    ``color_labels``.
     """
 
     node_names: tuple[str, ...]
@@ -98,7 +97,6 @@ class KnowledgeGraph:
     node_colors: tuple[int, ...]
     color_labels: tuple[str, ...] = (DEFAULT_COLOR_LABEL,)
     pair_coloring: PairColoring | None = None
-    features: tuple[tuple[float, ...], ...] | None = None
     _incoming: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -127,8 +125,6 @@ class KnowledgeGraph:
                 raise ValidationError(f"fact ({r},{s},{t}) references unknown ids")
         if self.pair_coloring is not None and self.pair_coloring.n != n:
             raise ValidationError("pair coloring sized for a different graph")
-        if self.features is not None and len(self.features) != n:
-            raise ValidationError("feature map must cover every node")
         incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for r, s, t in self.facts:
             incoming[t].append((r, s))
@@ -205,7 +201,6 @@ class KnowledgeGraph:
             self.node_colors,
             self.color_labels,
             pc,
-            self.features,
         )
 
     def with_node_coloring(self, labels: Mapping[str, str]) -> "KnowledgeGraph":
@@ -226,7 +221,6 @@ class KnowledgeGraph:
             tuple(colors),
             tuple(vocab),
             self.pair_coloring,
-            self.features,
         )
 
     def to_triple_lines(self) -> list[str]:
@@ -354,11 +348,6 @@ def load_graph(
     return graph
 
 
-def neighborhood(G: KnowledgeGraph, v: int | str, r: int | str) -> set[int]:
-    """Sources of ``r``-facts whose target is ``v`` (incoming direction)."""
-    return G.neighborhood(v, r)
-
-
 def default_pair_coloring(G: KnowledgeGraph, mode: str = "diagonal") -> PairColoring:
     """The stock pair colorings that separate the diagonal.
 
@@ -392,8 +381,8 @@ def augment(G: KnowledgeGraph) -> KnowledgeGraph:
     """Add a fresh inverse relation per relation and mirror non-loop facts.
 
     For every fact ``r(u, v)`` with ``u != v`` the result gains
-    ``r_inv(v, u)``; self-loops are not mirrored.  Colorings and features
-    carry over unchanged.
+    ``r_inv(v, u)``; self-loops are not mirrored.  Colorings carry over
+    unchanged.
     """
     names = list(G.relation_names)
     taken = set(names)
@@ -413,7 +402,6 @@ def augment(G: KnowledgeGraph) -> KnowledgeGraph:
         G.node_colors,
         G.color_labels,
         G.pair_coloring,
-        G.features,
     )
 
 
@@ -461,12 +449,6 @@ class UnravellingTree:
     nodes: tuple[tuple[int, ...], ...]
     facts: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
     node_labels: tuple[str, ...]  # color label per node, parallel to nodes
-
-    def color_of(self, path: tuple[int, ...]) -> str:
-        return self.node_labels[self.nodes.index(path)]
-
-    def depth(self) -> int:
-        return max(len(p) for p in self.nodes) - 1
 
 
 def _node_budget(explicit: int | None) -> int:
@@ -563,12 +545,6 @@ def permute_nodes(G: KnowledgeGraph, perm: tuple[int, ...]) -> KnowledgeGraph:
             for v in range(n):
                 flat[perm[u] * n + perm[v]] = G.pair_coloring.color_of(u, v)
         pc = PairColoring(n, tuple(flat), G.pair_coloring.labels)
-    feats = None
-    if G.features is not None:
-        rows: list[tuple[float, ...]] = [()] * n
-        for old, new in enumerate(perm):
-            rows[new] = G.features[old]
-        feats = tuple(rows)
     return KnowledgeGraph(
-        tuple(names), G.relation_names, facts, tuple(colors), G.color_labels, pc, feats
+        tuple(names), G.relation_names, facts, tuple(colors), G.color_labels, pc
     )

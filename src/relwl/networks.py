@@ -18,8 +18,14 @@ Two update shapes occur in practice and both are supported:
 
 The constructive builders return exact-rational networks whose per-layer
 feature partitions provably coincide with the corresponding color
-refinement partitions; their weights are derived from an invertible +/-1
-basis via :func:`build_sign_matrix`.
+refinement partitions.  Every feature is a column of an invertible +/-1
+basis (:func:`sign_basis`), so the basis inverse M turns features into
+one-hot colours and a layer reduces to integer colour counting: a column
+of self colour plus (|V|+1)^(i+1) times the in-neighbour colour counts via
+relation i, read as one integer per node.  The sign matrix of
+:func:`build_sign_matrix` has rank one, X = xs (x) z, so each weight matrix
+is xs (x) (z^T M), with M in closed form; no matrix is ever inverted or
+multiplied.
 """
 
 from __future__ import annotations
@@ -105,13 +111,28 @@ def build_sign_matrix(B: Sequence[Sequence[int]], n: int | None = None) -> rat.M
     base = m + 1  # strictly above every digit, so column values stay distinct
     z = [base**i for i in range(n)]
     b = [sum(zi * col[i] for i, zi in enumerate(z)) for col in ints]
-    order = sorted(range(p), key=lambda j: -b[j])
-    bs = [b[j] for j in order]
-    xs = [Fraction(1, bs[0] + 1)]
-    for k in range(1, p):
-        xs.append(Fraction(2, bs[k] + bs[k - 1]))
-    xs.extend([Fraction(2, bs[-1])] * (n - p))
+    xs = _sign_multipliers(sorted(b, reverse=True), n)
     return tuple(tuple(x * zi for zi in z) for x in xs)
+
+
+def _sign_multipliers(values: Sequence[int], n: int) -> list[Fraction]:
+    """Row multipliers of the sign matrix for distinct positive ``values``
+    sorted descending: 1/(b_1 + 1), the midpoint reciprocals
+    2/(b_j + b_{j-1}), then 2/b_p for the rows beyond the p values."""
+    xs = [Fraction(1, values[0] + 1)]
+    xs.extend(Fraction(2, lo + hi) for hi, lo in zip(values, values[1:]))
+    xs.extend([Fraction(2, values[-1])] * (n - len(values)))
+    return xs
+
+
+def _times_basis_inverse(v: Sequence[int]) -> tuple[Fraction, ...]:
+    """The row vector ``v`` times M, the inverse of ``sign_basis(len(v))``.
+
+    Closed form: (vM)_0 = -(v_0 + v_{n-1})/2 and (vM)_j = (v_{j-1} - v_j)/2
+    for j >= 1.
+    """
+    first = Fraction(-(v[0] + v[-1]), 2)
+    return (first,) + tuple(Fraction(a - b, 2) for a, b in zip(v, v[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +306,6 @@ class FeatureTable:
             classes.setdefault(value, []).append(key)
         return frozenset(frozenset(c) for c in classes.values())
 
-    def merge(self, other: "FeatureTable") -> "FeatureTable":
-        if (self.arity, self.dims, self.exact) != (other.arity, other.dims, other.exact):
-            raise ValidationError("tables are not compatible")
-        merged = tuple(
-            {**mine, **theirs} for mine, theirs in zip(self.layers, other.layers)
-        )
-        return FeatureTable(self.arity, self.dims, merged, self.exact)
-
     def to_json_dict(self, node_names: Sequence[str]) -> dict:
         def name(key):
             if self.arity == 1:
@@ -372,10 +385,7 @@ class _Layer:
         if spec.theta_kind == "theta1":
             if query is None:
                 raise ValidationError("theta1 messages need a query relation")
-            try:
-                z_q = spec.query_vectors[query]
-            except KeyError:
-                raise UnknownEntityError(f"no query vector for {query!r}") from None
+            z_q = _lookup(spec.query_vectors, query, "query vector")
         self.messages: dict[int, tuple[str, object]] = {}
         for name, value in spec.relation_params[t].items():
             try:
@@ -509,6 +519,13 @@ def _run_layers(
     return features
 
 
+def _lookup(table: Mapping, key: str, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise UnknownEntityError(f"no {what} for {key!r}") from None
+
+
 def _coerce_vec(value, dim: int, exact: bool):
     if len(value) != dim:
         raise ValidationError(f"expected a vector of dimension {dim}")
@@ -567,28 +584,29 @@ def _delta_row(G: KnowledgeGraph, spec: NetworkSpec, query: str, u: int) -> list
             (Fraction(1),) * d0 if spec.exact else np.ones(d0)
         )
         return [ones if v == u else zero() for v in range(n)]
-    try:
-        z_q = spec.query_vectors[query] if spec.query_vectors else None
-    except KeyError:
-        raise UnknownEntityError(f"no query vector for {query!r}") from None
+    if kind == "delta4":  # a per-query noise vector replaces the learned one
+        if spec.query_noise is not None:
+            eps = np.asarray(
+                _lookup(spec.query_noise, query, "query noise"), dtype=float
+            )
+        else:
+            eps = np.random.default_rng(
+                [spec.rng_seed, G.relation_id(query)]
+            ).standard_normal(d0)
+        return [eps if v == u else zero() for v in range(n)]
+    z_q = _lookup(spec.query_vectors, query, "query vector")
     if kind == "delta2":
         mark = _coerce_vec(z_q, d0, spec.exact)
         return [mark if v == u else zero() for v in range(n)]
-    if kind == "delta3":
-        if spec.node_noise is not None:
-            eps = np.asarray(spec.node_noise[G.node_names[u]], dtype=float)
-        else:
-            eps = np.random.default_rng([spec.rng_seed, u]).standard_normal(d0)
-        mark = np.asarray(z_q, dtype=float) + eps
-        return [mark if v == u else zero() for v in range(n)]
-    # delta4: a per-query noise vector replaces the learned one
-    if spec.query_noise is not None:
-        eps = np.asarray(spec.query_noise[query], dtype=float)
+    # delta3
+    if spec.node_noise is not None:
+        eps = np.asarray(
+            _lookup(spec.node_noise, G.node_names[u], "node noise"), dtype=float
+        )
     else:
-        eps = np.random.default_rng(
-            [spec.rng_seed, G.relation_id(query)]
-        ).standard_normal(d0)
-    return [eps if v == u else zero() for v in range(n)]
+        eps = np.random.default_rng([spec.rng_seed, u]).standard_normal(d0)
+    mark = np.asarray(z_q, dtype=float) + eps
+    return [mark if v == u else zero() for v in range(n)]
 
 
 def cmpnn_forward(
@@ -613,24 +631,17 @@ def cmpnn_forward(
 
 def cmpnn_pair_table(G: KnowledgeGraph, spec: NetworkSpec, query: str) -> FeatureTable:
     """Full pair table, one conditional run per source node."""
-    table: FeatureTable | None = None
+    layers: tuple[dict, ...] = tuple({} for _ in spec.dims)
     for u in range(G.n):
         row = cmpnn_forward(G, spec, query, u)
-        table = row if table is None else table.merge(row)
-    if table is None:
-        return FeatureTable(2, spec.dims, tuple({} for _ in spec.dims), spec.exact)
-    return table
+        for layer, part in zip(layers, row.layers):
+            layer.update(part)
+    return FeatureTable(2, spec.dims, layers, spec.exact)
 
 
 # ---------------------------------------------------------------------------
 # constructive builders
 # ---------------------------------------------------------------------------
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValidationError("expected an integer-valued rational")
-    return x.numerator
 
 
 def build_rwl1_simulator(
@@ -640,12 +651,20 @@ def build_rwl1_simulator(
 ) -> tuple[NetworkSpec, tuple[tuple[Fraction, ...], ...]]:
     """Exact node-level network matching color refinement layer by layer.
 
-    Returns a spec with sign activation, relation scalings (|V|+1)^i, an
+    Returns a spec with sign activation, relation scalings (|V|+1)^(i+1), an
     all-minus-one bias, and per-layer weights derived from the sign basis,
     together with initial features assigning each node the basis column of
     its color.  For every t <= num_layers the partition of the layer-t
     features equals the partition of the t-th refinement coloring under the
     requested history function.
+
+    Each layer is built by counting, in O(|V| + |E|): node v gets the
+    integer column E_v = onehot(c_{f(t)}(v)) + sum_i (|V|+1)^(i+1) * (colour
+    counts of v's in-neighbours via relation i), read as the number
+    b(v) = sum_k base^k E_v[k] with base above every entry.  The next colour
+    of v is the rank of b(v) among the distinct values in descending order,
+    whose basis column is sign(xs * b(v) - 1).  The weights are
+    xs (x) (z^T M) with z = (base^k)_k and M the closed-form basis inverse.
     """
     history = history or HistoryFunction.identity()
     n = G.n
@@ -653,51 +672,32 @@ def build_rwl1_simulator(
         raise ValidationError("simulator needs a non-empty graph")
     # densify color ids so each indexes a basis column (at most n classes)
     seen: dict[int, int] = {}
-    colors = tuple(seen.setdefault(c, len(seen)) for c in G.node_colors)
+    colors = [tuple(seen.setdefault(c, len(seen)) for c in G.node_colors)]
     basis = sign_basis(n)
-    M = rat.mat_inverse(basis)
-    adjacency = []
-    for r in range(len(G.relation_names)):
-        A = [[Fraction(0)] * n for _ in range(n)]
-        for rel, s, t in G.facts:
-            if rel == r:
-                A[s][t] = Fraction(1)
-        adjacency.append(rat.mat(A))
-    scalings = {
-        name: Fraction((n + 1) ** (i + 1))
-        for i, name in enumerate(G.relation_names)
-    }
+    scales = [(n + 1) ** (i + 1) for i in range(len(G.relation_names))]
+    scalings = {name: Fraction(s) for name, s in zip(G.relation_names, scales)}
     init = tuple(
-        tuple(basis[i][colors[v]] for i in range(n)) for v in range(n)
+        tuple(basis[i][colors[0][v]] for i in range(n)) for v in range(n)
     )
-    H = [tuple(zip(*init))]  # columns are node features
     weights = []
     for t in range(num_layers):
-        E = rat.mat_mul(M, H[history(t)])
-        MHt = rat.mat_mul(M, H[t])
-        for i, A in enumerate(adjacency):
-            term = rat.mat_scale(
-                Fraction((n + 1) ** (i + 1)), rat.mat_mul(MHt, A)
-            )
-            E = rat.mat_add(E, term)
-        columns = list(zip(*E))
-        distinct: list[tuple] = []
-        for col in columns:
-            if col not in distinct:
-                distinct.append(col)
-        B = [[_as_int(col[i]) for col in distinct] for i in range(n)]
-        X = build_sign_matrix(B, n)
-        weights.append(rat.mat_mul(X, M))
-        XE = rat.mat_mul(X, E)
-        nxt = []
-        for row in XE:
-            out_row = []
-            for val in row:
-                if val == 1:
-                    raise AssertionError("pre-activation exactly at the bias")
-                out_row.append(Fraction(1) if val > 1 else Fraction(-1))
-            nxt.append(tuple(out_row))
-        H.append(tuple(nxt))
+        current = colors[t]
+        E = [{c: 1} for c in colors[history(t)]]
+        for r, s, v in G.facts:
+            k = current[s]
+            E[v][k] = E[v].get(k, 0) + scales[r]
+        base = 1 + max(x for col in E for x in col.values())
+        z = [base**k for k in range(n)]
+        b = [sum(z[k] * x for k, x in col.items()) for col in E]
+        ranked = sorted(set(b), reverse=True)
+        xs = _sign_multipliers(ranked, n)
+        for x in set(xs):  # x * value == 1, compared as integers
+            if any(x.numerator * value == x.denominator for value in ranked):
+                raise AssertionError("pre-activation exactly at the bias")
+        zM = _times_basis_inverse(z)
+        weights.append(tuple(tuple(x * w for w in zM) for x in xs))
+        rank = {value: i for i, value in enumerate(ranked)}
+        colors.append(tuple(rank[value] for value in b))
     bias = (Fraction(-1),) * n
     spec = NetworkSpec(
         kind="rmpnn",

@@ -1,8 +1,11 @@
-"""Small dense linear algebra over exact rationals.
+"""Exact rational vectors and matrices for the exact network forward.
 
 Vectors are tuples of :class:`fractions.Fraction`, matrices are tuples of
-row tuples.  Sizes here are desk scale (tens of rows), so clarity beats
-asymptotics.
+row tuples.  The exact forward pass of :mod:`relwl.networks` coerces
+weights and biases with :func:`mat` / :func:`vec`, starts sums from
+:func:`zeros_vec` and applies layers with :func:`mat_vec`; the
+constructive builders need no matrix algebra (their weights have closed
+forms).
 """
 
 from __future__ import annotations
@@ -27,12 +30,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def zeros_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
@@ -41,46 +38,3 @@ def mat_vec(A: Mat, x: Sequence[Fraction]) -> Vec:
     if A and len(A[0]) != len(x):
         raise ValidationError(f"shape mismatch: {len(A[0])} columns vs {len(x)}")
     return tuple(sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in A)
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    if A and B and len(A[0]) != len(B):
-        raise ValidationError("shape mismatch in matrix product")
-    cols = list(zip(*B)) if B else []
-    return tuple(
-        tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-        for row in A
-    )
-
-
-def mat_add(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(c: Fraction, A: Mat) -> Mat:
-    return tuple(tuple(c * a for a in row) for row in A)
-
-
-def transpose(A: Mat) -> Mat:
-    return tuple(zip(*A)) if A else ()
-
-
-def mat_inverse(A: Mat) -> Mat:
-    """Gauss-Jordan inverse; raises :class:`ValidationError` if singular."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValidationError("inverse needs a square matrix")
-    work = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)

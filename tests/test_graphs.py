@@ -17,7 +17,6 @@ from relwl.graphs import (
     default_pair_coloring,
     from_triples,
     load_graph,
-    neighborhood,
     permute_nodes,
     product_square,
     unravel,
@@ -118,16 +117,16 @@ def test_load_pair_colors_must_be_total(tmp_path):
 
 
 def test_neighborhood_examples(graph_a, graph_b):
-    assert neighborhood(graph_a, "u", "r1") == {graph_a.node_id("v")}
-    assert neighborhood(graph_a, "v", "r1") == set()
-    assert neighborhood(graph_b, "u'", "r") == {graph_b.node_id("x")}
+    assert graph_a.neighborhood("u", "r1") == {graph_a.node_id("v")}
+    assert graph_a.neighborhood("v", "r1") == set()
+    assert graph_b.neighborhood("u'", "r") == {graph_b.node_id("x")}
 
 
 def test_neighborhood_unknown_entities(graph_a):
     with pytest.raises(UnknownEntityError):
-        neighborhood(graph_a, "nope", "r1")
+        graph_a.neighborhood("nope", "r1")
     with pytest.raises(UnknownEntityError):
-        neighborhood(graph_a, "u", "nope")
+        graph_a.neighborhood("u", "nope")
 
 
 # -- augment ----------------------------------------------------------------

@@ -26,9 +26,9 @@ from relwl.networks import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from relwl.rational import mat_inverse, mat_mul
 from relwl.wl import HistoryFunction, equivalent, run_test
 
+from builder_reference import mat_inverse, mat_mul
 from conftest import random_permutation
 
 
