@@ -66,6 +66,7 @@ from .networks import (
     random_rmpnn_spec,
     rmpnn_forward,
     score_link,
+    score_tails,
     sign_basis,
     spec_from_json_dict,
     spec_to_json_dict,

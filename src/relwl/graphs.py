@@ -24,6 +24,7 @@ deterministic relative to input order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -97,9 +98,6 @@ class KnowledgeGraph:
     node_colors: tuple[int, ...]
     color_labels: tuple[str, ...] = (DEFAULT_COLOR_LABEL,)
     pair_coloring: PairColoring | None = None
-    _incoming: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
     _node_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _relation_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -125,10 +123,6 @@ class KnowledgeGraph:
                 raise ValidationError(f"fact ({r},{s},{t}) references unknown ids")
         if self.pair_coloring is not None and self.pair_coloring.n != n:
             raise ValidationError("pair coloring sized for a different graph")
-        incoming: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for r, s, t in self.facts:
-            incoming[t].append((r, s))
-        object.__setattr__(self, "_incoming", tuple(tuple(x) for x in incoming))
 
     # -- vocabulary ----------------------------------------------------
 
@@ -163,6 +157,15 @@ class KnowledgeGraph:
         return r
 
     # -- queries -------------------------------------------------------
+
+    @functools.cached_property
+    def _incoming(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # Built on first use: the refinement kernel and the network forward
+        # read ``facts`` as arrays, so most derived graphs never need it.
+        incoming: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for r, s, t in self.facts:
+            incoming[t].append((r, s))
+        return tuple(tuple(x) for x in incoming)
 
     def incoming(self, v: int | str) -> tuple[tuple[int, int], ...]:
         """All ``(relation, source)`` pairs of facts whose target is ``v``."""

@@ -352,34 +352,29 @@ class CompiledClassifier:
     def width(self) -> int:
         return len(self.subformulas)
 
-    def initial_features(self, G: KnowledgeGraph) -> list[np.ndarray]:
-        """One-hot of the node's color over the atom components."""
+    def initial_features(self, G: KnowledgeGraph) -> np.ndarray:
+        """One-hot of each node's color over the atom components, (n, width)."""
         atom_index = {
             sub.label: i
             for i, sub in enumerate(self.subformulas)
             if isinstance(sub, Atom)
         }
-        feats = []
-        for v in range(G.n):
-            x = np.zeros(self.width)
-            idx = atom_index.get(G.color_label_of(v))
-            if idx is not None:
-                x[idx] = 1.0
-            feats.append(x)
+        # component of each color label, -1 for a label no atom names
+        component = np.array([atom_index.get(label, -1) for label in G.color_labels])
+        nodes = np.arange(G.n)
+        comps = component[np.asarray(G.node_colors, dtype=np.int64)]
+        feats = np.zeros((G.n, self.width))
+        feats[nodes[comps >= 0], comps[comps >= 0]] = 1.0
         return feats
 
     def run(self, G: KnowledgeGraph) -> FeatureTable:
         return rmpnn_forward(G, self.spec, self.initial_features(G))
 
     def classify(self, G: KnowledgeGraph) -> dict[int, bool]:
-        table = self.run(G)
-        out = {}
-        for v in range(G.n):
-            value = float(table.vector(self.spec.num_layers, v)[0])
-            if value not in (0.0, 1.0):
-                raise AssertionError("compiled network left the 0/1 lattice")
-            out[v] = value == 1.0
-        return out
+        values = self.run(G).layers[self.spec.num_layers][:, 0]
+        if not np.all((values == 0.0) | (values == 1.0)):
+            raise AssertionError("compiled network left the 0/1 lattice")
+        return dict(enumerate((values == 1.0).tolist()))
 
 
 def compile_gml_to_rmpnn(

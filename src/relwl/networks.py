@@ -16,6 +16,19 @@ Two update shapes occur in practice and both are supported:
 * ``combine``:  h <- sigma(W (h_self + aggregate) + bias)
 * ``separate``: h <- sigma(W h_self + aggregate + bias)
 
+A layer is array algebra over the edge arrays ``(rel, src, dst)`` of the
+facts, stably sorted by target.  Features are one array of shape
+(n, B, d) per layer, where B is a batch of sources: 1 for a node-level run
+or a single conditional run, and all n sources for
+:func:`cmpnn_pair_table`.  Each layer gathers the source rows ``H[src]``,
+applies one message op per relation (a stacked matrix-vector product or
+an elementwise product), sums the messages into their targets with one
+in-order ``np.add.at`` and applies one stacked ``W @ x``, the bias and the
+activation.  Stacked matrix-vector products and the in-order sum round
+exactly as one ``W @ x`` per node and a running sum per target do, so float
+features do not depend on the batch.  Exact mode runs the same code on
+``dtype=object`` arrays of ``Fraction``.
+
 The constructive builders return exact-rational networks whose per-layer
 feature partitions provably coincide with the corresponding color
 refinement partitions.  Every feature is a column of an invertible +/-1
@@ -30,7 +43,9 @@ multiplied.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -236,6 +251,49 @@ class NetworkSpec:
             bias = self.biases[t]
             if bias is not None and len(bias) != d_out:
                 raise ValidationError(f"layer {t}: bias length != {d_out}")
+        self._check_message_shapes()
+
+    def _check_message_shapes(self) -> None:
+        """Relation parameters, query vectors and noise vectors must fit
+        the widths they meet in the forward pass."""
+        d0 = self.dims[0]
+        vectors = [("query vector", self.query_vectors)] if self.delta_kind in (
+            "delta2", "delta3"
+        ) else []
+        vectors += [("node noise", self.node_noise), ("query noise", self.query_noise)]
+        for what, table in vectors:
+            for name, value in (table or {}).items():
+                if not _has_shape(value, (d0,)):
+                    raise ValidationError(f"{what} of {name!r} must be {_shape_text((d0,))}")
+        q = None
+        if self.theta_kind == "theta1":  # relation matrices act on the query vector
+            first = next(iter(self.query_vectors.values()))
+            q = len(first) if hasattr(first, "__len__") else 0
+            for name, value in self.query_vectors.items():
+                if not _has_shape(value, (q,)):
+                    raise ValidationError(
+                        f"query vector of {name!r} must be {_shape_text((q,))} like the others"
+                    )
+        for t, params in enumerate(self.relation_params):
+            d_in = self.dims[t]
+            width = d_in if self.update_kind == "combine" else self.dims[t + 1]
+            shape = {
+                "theta1": (d_in, q),
+                "theta2": (d_in,),
+                "theta3": (width, d_in),
+                "scaling": (),
+            }[self.theta_kind]
+            if params and self.theta_kind != "theta3" and width != d_in:
+                raise ValidationError(
+                    f"layer {t}: {self.theta_kind} messages have width d({t})={d_in}, "
+                    f"but the separate update adds them to width {width}"
+                )
+            for name, value in params.items():
+                if not _has_shape(value, shape):
+                    raise ValidationError(
+                        f"layer {t}: {self.theta_kind} parameter of {name!r} must be "
+                        f"{_shape_text(shape)}"
+                    )
 
     @property
     def exact(self) -> bool:
@@ -263,6 +321,24 @@ class NetworkSpec:
         return True  # delta1 by construction; delta3/delta4 noise is a.s. nonzero
 
 
+def _has_shape(value, shape: tuple[int, ...]) -> bool:
+    """Whether ``value`` is a number (``shape == ()``), or a vector or a
+    rectangular matrix of this shape."""
+    try:
+        found = np.shape(value)
+    except ValueError:  # ragged nesting
+        return False
+    return found == shape and (shape != () or isinstance(value, numbers.Real))
+
+
+def _shape_text(shape: tuple[int, ...]) -> str:
+    if not shape:
+        return "a number"
+    if len(shape) == 1:
+        return f"a vector of length {shape[0]}"
+    return f"a {shape[0]}x{shape[1]} matrix"
+
+
 # ---------------------------------------------------------------------------
 # feature tables
 # ---------------------------------------------------------------------------
@@ -270,35 +346,65 @@ class NetworkSpec:
 
 @dataclass
 class FeatureTable:
-    """Per-layer feature vectors keyed by node index or (source, target)."""
+    """Per-layer features of every node, or of the pairs (source, target).
+
+    ``layers[t]`` is an array of shape (n, d_t) for arity 1.  For arity 2
+    it has shape (len(sources), n, d_t), and row ``[i, v]`` is the feature
+    of the pair ``(sources[i], v)``.  Exact tables hold ``Fraction``
+    objects (``dtype=object``), float tables ``float64``.
+    """
 
     arity: int
     dims: tuple[int, ...]
-    layers: tuple[dict, ...]
+    layers: tuple[np.ndarray, ...]
     exact: bool
+    sources: tuple[int, ...] = ()
+    _row: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.layers) != len(self.dims):
-            raise ValidationError("one layer mapping per recorded dimension")
+            raise ValidationError("one layer array per recorded dimension")
         for t, layer in enumerate(self.layers):
-            for vec in layer.values():
-                if len(vec) != self.dims[t]:
-                    raise ValidationError(
-                        f"layer {t} vector has dimension {len(vec)} != {self.dims[t]}"
-                    )
+            if layer.shape[-1] != self.dims[t]:
+                raise ValidationError(
+                    f"layer {t} vector has dimension {layer.shape[-1]} != {self.dims[t]}"
+                )
+        self._row = {u: i for i, u in enumerate(self.sources)}
 
     @property
     def num_layers(self) -> int:
         return len(self.layers) - 1
 
+    def keys(self) -> list:
+        """Node ids, or (source, target) pairs ordered by source first."""
+        n = self.layers[0].shape[-2]
+        if self.arity == 1:
+            return list(range(n))
+        return [(u, v) for u in self.sources for v in range(n)]
+
     def vector(self, t: int, key):
-        return self.layers[t][key]
+        """Feature of one key: a tuple of ``Fraction`` in exact mode, else
+        a float64 row."""
+        if self.arity == 1:
+            row = self.layers[t][key]
+        else:
+            u, v = key
+            row = self.layers[t][self._row[u], v]
+        return tuple(row.tolist()) if self.exact else row
+
+    def _rows(self, t: int) -> np.ndarray:
+        """Layer t as one row per key, in :meth:`keys` order."""
+        layer = self.layers[t]
+        return layer.reshape(-1, layer.shape[-1])
 
     def assignment(self, t: int) -> dict:
         """Hashable per-key view of layer t, suitable for partition checks."""
+        rows = self._rows(t)
         if self.exact:
-            return {k: tuple(v) for k, v in self.layers[t].items()}
-        return {k: np.asarray(v, dtype=float).tobytes() for k, v in self.layers[t].items()}
+            values = map(tuple, rows.tolist())
+        else:
+            values = (row.tobytes() for row in rows)
+        return dict(zip(self.keys(), values))
 
     def partition(self, t: int) -> frozenset[frozenset]:
         classes: dict = {}
@@ -312,13 +418,17 @@ class FeatureTable:
                 return node_names[key]
             return [node_names[key[0]], node_names[key[1]]]
 
+        keys = self.keys()
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         layers = []
-        for t, layer in enumerate(self.layers):
-            entries = [
-                {"key": name(k), "value": _vec_to_json(v, self.exact)}
-                for k, v in sorted(layer.items())
-            ]
-            layers.append(entries)
+        for t in range(len(self.layers)):
+            rows = self._rows(t)
+            layers.append(
+                [
+                    {"key": name(keys[i]), "value": _vec_to_json(rows[i], self.exact)}
+                    for i in order
+                ]
+            )
         return {"arity": self.arity, "dims": list(self.dims), "layers": layers}
 
 
@@ -327,195 +437,188 @@ class FeatureTable:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_exact(kind: str, values: tuple, assert_nonzero: bool) -> tuple:
-    out = []
-    for x in values:
-        if kind == "sign":
-            if x == 0:
-                if assert_nonzero:
-                    raise ValidationError(
-                        "constructive network hit a zero pre-activation"
-                    )
-                out.append(Fraction(-1))  # sign(0) := -1 keeps the function total
-            else:
-                out.append(Fraction(1) if x > 0 else Fraction(-1))
-        elif kind == "relu":
-            out.append(x if x > 0 else Fraction(0))
-        elif kind == "truncated-relu":
-            out.append(min(max(Fraction(0), x), Fraction(1)))
-        else:
-            out.append(x)
-    return tuple(out)
+def _vector(value, exact: bool) -> np.ndarray:
+    """A vector of numbers as float64, or as ``Fraction`` objects."""
+    return np.array(rat.vec(value), dtype=object) if exact else np.asarray(value, dtype=float)
 
 
-def _sigma_float(kind: str, values: np.ndarray, assert_nonzero: bool) -> np.ndarray:
+def _matrix(value, exact: bool) -> np.ndarray:
+    """A matrix of numbers as float64, or as ``Fraction`` objects."""
+    return np.array(rat.mat(value), dtype=object) if exact else np.asarray(value, dtype=float)
+
+
+def _zeros(shape: tuple[int, ...], exact: bool) -> np.ndarray:
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+
+
+def _feature_array(rows, dim: int, exact: bool) -> np.ndarray:
+    """Initial feature rows as one array of shape (len(rows), dim)."""
+    if not len(rows):
+        return _zeros((0, dim), exact)
+    if exact:
+        if any(len(row) != dim for row in rows):
+            raise ValidationError(f"expected a vector of dimension {dim}")
+        out = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+        return out.reshape(len(rows), dim)
+    try:
+        out = np.asarray(rows, dtype=float)
+    except ValueError:  # ragged rows
+        out = None
+    if out is None or out.ndim != 2 or out.shape[1] != dim:
+        raise ValidationError(f"expected a vector of dimension {dim}")
+    return out
+
+
+def _sigma(kind: str, pre: np.ndarray, assert_nonzero: bool) -> np.ndarray:
+    """The activation, elementwise on float64 or ``Fraction`` arrays."""
+    exact = pre.dtype == object
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     if kind == "sign":
-        if assert_nonzero and np.any(values == 0.0):
+        if assert_nonzero and np.any(pre == 0):
             raise ValidationError("constructive network hit a zero pre-activation")
-        return np.where(values > 0.0, 1.0, -1.0)
+        return np.where(pre > 0, one, -one)  # sign(0) := -1 keeps the function total
     if kind == "relu":
-        return np.maximum(values, 0.0)
+        return np.maximum(pre, zero)
     if kind == "truncated-relu":
-        return np.minimum(np.maximum(values, 0.0), 1.0)
-    return values
+        return np.minimum(np.maximum(pre, zero), one)
+    return pre
+
+
+def _edges(G: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rel, src, dst)`` of every fact, stably sorted by target, so the
+    edges into each node keep the order of ``G.incoming``."""
+    facts = np.fromiter(
+        itertools.chain.from_iterable(G.facts), dtype=np.int64, count=3 * len(G.facts)
+    ).reshape(-1, 3)
+    facts = facts[np.argsort(facts[:, 2], kind="stable")]
+    return facts[:, 0], facts[:, 1], facts[:, 2]
 
 
 class _Layer:
-    """One layer's parameters, resolved against a concrete graph."""
+    """One layer's parameters as arrays, resolved against a concrete graph."""
 
     def __init__(self, spec: NetworkSpec, G: KnowledgeGraph, t: int, query: str | None):
-        self.exact = spec.exact
-        self.d_in = spec.dims[t]
-        self.d_out = spec.dims[t + 1]
-        self.sigma = spec.sigma_kind
-        self.update = spec.update_kind
-        self.psi = spec.psi_kind
-        self.assert_nonzero = spec.assert_nonzero_preactivation
-        if self.exact:
-            self.W = rat.mat(spec.weights[t])
-            self.bias = rat.vec(spec.biases[t]) if spec.biases[t] is not None else None
-        else:
-            self.W = np.asarray(spec.weights[t], dtype=float)
-            self.bias = (
-                np.asarray(spec.biases[t], dtype=float)
-                if spec.biases[t] is not None
-                else None
-            )
+        exact = spec.exact
+        self.W = _matrix(spec.weights[t], exact)
+        self.bias = _vector(spec.biases[t], exact) if spec.biases[t] is not None else None
+        # combine sums messages before W, separate after it
+        self.width = spec.dims[t] if spec.update_kind == "combine" else spec.dims[t + 1]
         z_q = None
         if spec.theta_kind == "theta1":
             if query is None:
                 raise ValidationError("theta1 messages need a query relation")
-            z_q = _lookup(spec.query_vectors, query, "query vector")
-        self.messages: dict[int, tuple[str, object]] = {}
+            z_q = _vector(_lookup(spec.query_vectors, query, "query vector"), exact)
+        # (relation id, whether the message is a matrix product, parameter)
+        self.messages: list[tuple[int, bool, object]] = []
         for name, value in spec.relation_params[t].items():
             try:
                 rel = G.relation_id(name)
             except UnknownEntityError:
                 continue  # relation absent from this graph: nothing to message
             if spec.theta_kind == "theta1":
-                if self.exact:
-                    gate = rat.mat_vec(rat.mat(value), rat.vec(z_q))
-                else:
-                    gate = np.asarray(value, dtype=float) @ np.asarray(z_q, dtype=float)
-                self.messages[rel] = ("hadamard", gate)
+                self.messages.append((rel, False, _matrix(value, exact) @ z_q))
             elif spec.theta_kind == "theta2":
-                gate = rat.vec(value) if self.exact else np.asarray(value, dtype=float)
-                self.messages[rel] = ("hadamard", gate)
+                self.messages.append((rel, False, _vector(value, exact)))
             elif spec.theta_kind == "theta3":
-                mat = rat.mat(value) if self.exact else np.asarray(value, dtype=float)
-                self.messages[rel] = ("matmul", mat)
+                self.messages.append((rel, True, _matrix(value, exact)))
             else:
-                scale = Fraction(value) if self.exact else float(value)
-                self.messages[rel] = ("scale", scale)
+                self.messages.append((rel, False, Fraction(value) if exact else float(value)))
 
-    def message(self, rel: int, h):
-        entry = self.messages.get(rel)
-        if entry is None:
-            return None
-        op, param = entry
-        if self.exact:
-            if op == "hadamard":
-                return tuple(a * b for a, b in zip(h, param))
-            if op == "matmul":
-                return rat.mat_vec(param, h)
-            return tuple(param * a for a in h)
-        if op == "hadamard":
-            return h * param
-        if op == "matmul":
-            return param @ h
-        return param * h
+    def message_array(self, H: np.ndarray, rel: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """Messages of the edges ``(rel, src)``, in edge order: one gather
+        and one stacked op per relation."""
+        out = np.empty((len(src), H.shape[1], self.width), dtype=H.dtype)
+        for r, matmul, param in self.messages:
+            pos = np.flatnonzero(rel == r)
+            if not len(pos):
+                continue
+            h = H[src[pos]]
+            out[pos] = (param @ h[..., None])[..., 0] if matmul else h * param
+        return out
 
-    def aggregate_sum(self, msgs: list):
-        dim = self.d_in if self.update == "combine" else self.d_out
-        if self.exact:
-            total = list(rat.zeros_vec(dim))
-            for m in msgs:
-                if len(m) != dim:
-                    raise ValidationError("message dimension mismatch")
-                for i, x in enumerate(m):
-                    total[i] += x
-            return tuple(total)
-        total = np.zeros(dim)
-        for m in msgs:
-            if m.shape != (dim,):
-                raise ValidationError("message dimension mismatch")
-            total = total + m
-        return total
 
-    def aggregate_pna(self, msgs: list, log_mean_degree: float) -> np.ndarray:
-        dim = self.d_in
-        if not msgs:
-            stats = np.zeros(4 * dim)
-            scalers = (1.0, 1.0, 1.0)
-        else:
-            stacked = np.stack(msgs)
-            stats = np.concatenate(
-                [
-                    stacked.mean(axis=0),
-                    stacked.min(axis=0),
-                    stacked.max(axis=0),
-                    stacked.std(axis=0),
-                ]
-            )
-            log_deg = math.log(1 + len(msgs))
-            if log_mean_degree > 0 and log_deg > 0:
-                scalers = (1.0, log_deg / log_mean_degree, log_mean_degree / log_deg)
-            else:
-                scalers = (1.0, 1.0, 1.0)
-        return np.concatenate([s * stats for s in scalers])
+def _pna_aggregate(
+    M: np.ndarray, dst: np.ndarray, n: int, log_mean_degree: float
+) -> np.ndarray:
+    """PNA aggregate (n, B, 12 * dim): mean/min/max/std of each target's
+    messages under the identity/amplify/attenuate degree scalers; a target
+    without messages gets zeros.
 
-    def apply(self, own, agg):
-        if self.exact:
-            if self.update == "combine":
-                pre = rat.mat_vec(self.W, tuple(a + b for a, b in zip(own, agg)))
-            else:
-                pre = tuple(
-                    a + b for a, b in zip(rat.mat_vec(self.W, own), agg)
-                )
-            if self.bias is not None:
-                pre = tuple(a + b for a, b in zip(pre, self.bias))
-            return _sigma_exact(self.sigma, pre, self.assert_nonzero)
-        if self.psi == "pna":
-            pre = self.W @ np.concatenate([own, agg])
-        elif self.update == "combine":
-            pre = self.W @ (own + agg)
-        else:
-            pre = self.W @ own + agg
-        if self.bias is not None:
-            pre = pre + self.bias
-        return _sigma_float(self.sigma, pre, self.assert_nonzero)
+    ``dst`` must be sorted.  Targets are grouped by their message count k,
+    and each group is reduced by numpy's own reductions over a
+    (targets, B, k, dim) block, which round as those reductions do over one
+    target's stacked (k, dim) messages (pairwise sums for dim 1).
+    """
+    B, dim = M.shape[1:]
+    stats = np.zeros((n, B, 4 * dim))
+    count = np.bincount(dst, minlength=n)
+    start = np.cumsum(count) - count
+    amplify, attenuate = np.ones(n), np.ones(n)
+    for k in np.unique(count[count > 0]).tolist():
+        targets = np.flatnonzero(count == k)
+        block = M[start[targets, None] + np.arange(k)].transpose(0, 2, 1, 3).copy()
+        stats[targets] = np.concatenate(
+            [block.mean(axis=2), block.min(axis=2), block.max(axis=2), block.std(axis=2)],
+            axis=-1,
+        )
+        log_deg = math.log(1 + k)
+        if log_mean_degree > 0:
+            amplify[targets] = log_deg / log_mean_degree
+            attenuate[targets] = log_mean_degree / log_deg
+    return np.concatenate(
+        [stats, amplify[:, None, None] * stats, attenuate[:, None, None] * stats], axis=-1
+    )
+
+
+def _log_mean_degree(dst: np.ndarray, n: int) -> float:
+    """Mean of log(1 + in-degree) over all nodes, summed in node order."""
+    if not n:
+        return 0.0
+    degree = np.bincount(dst, minlength=n)
+    logs = np.zeros(n)
+    for d in np.unique(degree).tolist():
+        logs[degree == d] = math.log(1 + d)
+    return float(np.cumsum(logs)[-1]) / n
 
 
 def _run_layers(
     G: KnowledgeGraph,
     spec: NetworkSpec,
-    init: list,
+    init: np.ndarray,
     query: str | None,
-) -> list[list]:
+) -> list[np.ndarray]:
+    """Features of layers 0..T, each of shape (n, B, d_t) for B sources
+    run side by side (B = 1 for a single run).
+
+    A layer gathers the sources of the facts, applies one message op per
+    relation, sums the messages into their targets in edge order (as a
+    running sum per target would), and applies one stacked ``W @ x``, the
+    bias and the activation.  Exact mode runs the same code on object
+    arrays of ``Fraction``.
+    """
     n = G.n
-    log_mean_degree = 0.0
-    if spec.psi_kind == "pna" and n:
-        log_mean_degree = sum(
-            math.log(1 + len(G.incoming(v))) for v in range(n)
-        ) / n
-    features = [list(init)]
+    rel, src, dst = _edges(G)
+    pna = spec.psi_kind == "pna"
+    log_mean_degree = _log_mean_degree(dst, n) if pna else 0.0
+    features = [init]
     for t in range(spec.num_layers):
         layer = _Layer(spec, G, t, query)
-        current = features[t]
         own = features[spec.history(t)]
-        nxt = []
-        for v in range(n):
-            msgs = []
-            for rel, w in G.incoming(v):
-                m = layer.message(rel, current[w])
-                if m is not None:
-                    msgs.append(m)
-            if spec.psi_kind == "pna":
-                agg = layer.aggregate_pna(msgs, log_mean_degree)
-            else:
-                agg = layer.aggregate_sum(msgs)
-            nxt.append(layer.apply(own[v], agg))
-        features.append(nxt)
+        keep = np.isin(rel, [r for r, _, _ in layer.messages])
+        M = layer.message_array(features[t], rel[keep], src[keep])
+        if pna:
+            x = np.concatenate([own, _pna_aggregate(M, dst[keep], n, log_mean_degree)], axis=-1)
+        else:
+            agg = _zeros((n, init.shape[1], layer.width), spec.exact)
+            np.add.at(agg, dst[keep], M)
+            x = own + agg if spec.update_kind == "combine" else own
+        del M  # free the per-edge messages before the next allocations
+        pre = (layer.W @ x[..., None])[..., 0]
+        if spec.update_kind == "separate":
+            pre = pre + agg
+        if layer.bias is not None:
+            pre = pre + layer.bias
+        features.append(_sigma(spec.sigma_kind, pre, spec.assert_nonzero_preactivation))
     return features
 
 
@@ -526,20 +629,12 @@ def _lookup(table: Mapping, key: str, what: str):
         raise UnknownEntityError(f"no {what} for {key!r}") from None
 
 
-def _coerce_vec(value, dim: int, exact: bool):
-    if len(value) != dim:
-        raise ValidationError(f"expected a vector of dimension {dim}")
-    if exact:
-        return tuple(Fraction(x) for x in value)
-    return np.asarray(value, dtype=float)
-
-
 def rmpnn_forward(G: KnowledgeGraph, spec: NetworkSpec, x) -> FeatureTable:
     """Evaluate a node-level network from initial features ``x``.
 
     ``x`` maps node names or indices to vectors of dimension d(0) (a
-    sequence indexed by node id also works).  Returns the features of every
-    layer 0..T.
+    sequence indexed by node id, or an (n, d(0)) array, also works).
+    Returns the features of every layer 0..T.
     """
     if spec.kind != "rmpnn":
         raise ValidationError("spec is not a node-level network")
@@ -547,66 +642,65 @@ def rmpnn_forward(G: KnowledgeGraph, spec: NetworkSpec, x) -> FeatureTable:
         init_map = {G._resolve_node(k): v for k, v in x.items()}
         if set(init_map) != set(range(G.n)):
             raise ValidationError("initial features must cover every node")
-        raw = [init_map[v] for v in range(G.n)]
-    else:
-        if len(x) != G.n:
-            raise ValidationError("initial features must cover every node")
-        raw = list(x)
-    init = [_coerce_vec(v, spec.dims[0], spec.exact) for v in raw]
+        x = [init_map[v] for v in range(G.n)]
+    elif len(x) != G.n:
+        raise ValidationError("initial features must cover every node")
+    init = _feature_array(x, spec.dims[0], spec.exact)[:, None, :]
     features = _run_layers(G, spec, init, query=None)
-    layers = tuple(
-        {v: feats[v] for v in range(G.n)} for feats in features
-    )
-    return FeatureTable(1, spec.dims, layers, spec.exact)
+    return FeatureTable(1, spec.dims, tuple(f[:, 0, :] for f in features), spec.exact)
 
 
-def _delta_row(G: KnowledgeGraph, spec: NetworkSpec, query: str, u: int) -> list:
-    d0 = spec.dims[0]
-    n = G.n
+def _delta_init(
+    G: KnowledgeGraph, spec: NetworkSpec, query: str, sources: np.ndarray
+) -> np.ndarray:
+    """Layer-0 features (n, B, d0) of the pairs (sources[b], v)."""
+    d0, n, B = spec.dims[0], G.n, len(sources)
+    exact = spec.exact
     kind = spec.delta_kind
-
-    def zero():
-        return rat.zeros_vec(d0) if spec.exact else np.zeros(d0)
-
-    if kind == "delta0":
-        return [zero() for _ in range(n)]
     if kind == "pair-table":
-        row = []
-        for v in range(n):
-            key = (G.node_names[u], G.node_names[v])
-            try:
-                row.append(_coerce_vec(spec.pair_table[key], d0, spec.exact))
-            except KeyError:
-                raise ValidationError(f"pair table misses {key!r}") from None
-        return row
+        names = G.node_names
+        try:
+            rows = [spec.pair_table[names[u], names[v]] for v in range(n) for u in sources]
+        except KeyError as missing:
+            raise ValidationError(f"pair table misses {missing.args[0]!r}") from None
+        return _feature_array(rows, d0, exact).reshape(n, B, d0)
+    init = _zeros((n, B, d0), exact)
+    diagonal = (sources, np.arange(B))
     if kind == "delta1":
-        ones = (
-            (Fraction(1),) * d0 if spec.exact else np.ones(d0)
-        )
-        return [ones if v == u else zero() for v in range(n)]
-    if kind == "delta4":  # a per-query noise vector replaces the learned one
-        if spec.query_noise is not None:
-            eps = np.asarray(
-                _lookup(spec.query_noise, query, "query noise"), dtype=float
-            )
+        init[diagonal] = Fraction(1) if exact else 1.0
+    elif kind == "delta2":
+        init[diagonal] = _vector(_lookup(spec.query_vectors, query, "query vector"), exact)
+    elif kind == "delta3":
+        z_q = np.asarray(_lookup(spec.query_vectors, query, "query vector"), dtype=float)
+        if spec.node_noise is not None:
+            eps = [_lookup(spec.node_noise, G.node_names[u], "node noise") for u in sources]
         else:
-            eps = np.random.default_rng(
-                [spec.rng_seed, G.relation_id(query)]
-            ).standard_normal(d0)
-        return [eps if v == u else zero() for v in range(n)]
-    z_q = _lookup(spec.query_vectors, query, "query vector")
-    if kind == "delta2":
-        mark = _coerce_vec(z_q, d0, spec.exact)
-        return [mark if v == u else zero() for v in range(n)]
-    # delta3
-    if spec.node_noise is not None:
-        eps = np.asarray(
-            _lookup(spec.node_noise, G.node_names[u], "node noise"), dtype=float
-        )
+            eps = [np.random.default_rng([spec.rng_seed, u]).standard_normal(d0) for u in sources]
+        init[diagonal] = z_q + np.asarray(eps, dtype=float).reshape(B, d0)
+    elif kind == "delta4":  # a per-query noise vector replaces the learned one
+        if spec.query_noise is not None:
+            eps = np.asarray(_lookup(spec.query_noise, query, "query noise"), dtype=float)
+        else:
+            eps = np.random.default_rng([spec.rng_seed, G.relation_id(query)]).standard_normal(d0)
+        init[diagonal] = eps
+    return init
+
+
+def _cmpnn(
+    G: KnowledgeGraph, spec: NetworkSpec, query: str, source: int | str | None
+) -> FeatureTable:
+    """One conditional run from ``source``, or from every node at once
+    (``source=None``), the sources side by side on the batch axis."""
+    if spec.kind != "cmpnn":
+        raise ValidationError("spec is not a conditional network")
+    G.relation_id(query)  # validate early
+    if source is None:
+        sources = np.arange(G.n)
     else:
-        eps = np.random.default_rng([spec.rng_seed, u]).standard_normal(d0)
-    mark = np.asarray(z_q, dtype=float) + eps
-    return [mark if v == u else zero() for v in range(n)]
+        sources = np.array([G._resolve_node(source)])
+    features = _run_layers(G, spec, _delta_init(G, spec, query, sources), query)
+    layers = tuple(f.transpose(1, 0, 2) for f in features)
+    return FeatureTable(2, spec.dims, layers, spec.exact, tuple(sources.tolist()))
 
 
 def cmpnn_forward(
@@ -614,29 +708,15 @@ def cmpnn_forward(
 ) -> FeatureTable:
     """Features of all targets ``v`` conditioned on one source and query.
 
-    The returned table is keyed by ``(source, v)`` pairs; iterate sources
-    (or call :func:`cmpnn_pair_table`) for the full pair table.
+    The returned table is keyed by ``(source, v)`` pairs; call
+    :func:`cmpnn_pair_table` for the full pair table.
     """
-    if spec.kind != "cmpnn":
-        raise ValidationError("spec is not a conditional network")
-    G.relation_id(query)  # validate early
-    u = G._resolve_node(source)
-    init = _delta_row(G, spec, query, u)
-    features = _run_layers(G, spec, init, query)
-    layers = tuple(
-        {(u, v): feats[v] for v in range(G.n)} for feats in features
-    )
-    return FeatureTable(2, spec.dims, layers, spec.exact)
+    return _cmpnn(G, spec, query, source)
 
 
 def cmpnn_pair_table(G: KnowledgeGraph, spec: NetworkSpec, query: str) -> FeatureTable:
-    """Full pair table, one conditional run per source node."""
-    layers: tuple[dict, ...] = tuple({} for _ in spec.dims)
-    for u in range(G.n):
-        row = cmpnn_forward(G, spec, query, u)
-        for layer, part in zip(layers, row.layers):
-            layer.update(part)
-    return FeatureTable(2, spec.dims, layers, spec.exact)
+    """Full pair table: one conditional run with every node as a source."""
+    return _cmpnn(G, spec, query, None)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +873,57 @@ class MLPDecoder:
         )
 
 
+def _check_decoder(spec: NetworkSpec, decoder: MLPDecoder) -> None:
+    if spec.exact:
+        raise ValidationError("link scores use a sigmoid; run in float mode")
+    hidden = len(decoder.hidden_weights)
+    width = spec.dims[-1]
+    if any(len(row) != width for row in decoder.hidden_weights):
+        raise ValidationError(
+            f"decoder rows must read features of width {width}, the network's last layer"
+        )
+    if len(decoder.hidden_bias) != hidden or len(decoder.output_weights) != hidden:
+        raise ValidationError(f"decoder hidden bias and output weights need length {hidden}")
+
+
+def _sigmoid(logit: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:  # logit below about -709: exp(logit) underflows instead
+        e = math.exp(logit)
+        return e / (1.0 + e)
+
+
+def _decode(decoder: MLPDecoder, rows: np.ndarray) -> np.ndarray:
+    """Decoder probability of each feature row of ``rows`` (k, d); every
+    row is decoded on its own, so a row's value does not depend on k."""
+    hidden = np.maximum(
+        (np.asarray(decoder.hidden_weights, dtype=float) @ rows[..., None])[..., 0]
+        + np.asarray(decoder.hidden_bias, dtype=float),
+        0.0,
+    )
+    output = np.asarray(decoder.output_weights, dtype=float)
+    logits = (hidden[:, None, :] @ output[:, None])[:, 0, 0] + decoder.output_bias
+    return np.array([_sigmoid(logit) for logit in logits.tolist()])
+
+
+def score_tails(
+    spec: NetworkSpec,
+    decoder: MLPDecoder,
+    G: KnowledgeGraph,
+    query: str,
+    source: int | str,
+) -> np.ndarray:
+    """Probability in (0, 1) of the queried fact for every tail node.
+
+    One conditional forward from ``source``; the decoder reads the (n, d)
+    final layer, one row per tail.  Float mode only: the final squashing
+    is transcendental, so exact mode is rejected.
+    """
+    _check_decoder(spec, decoder)
+    return _decode(decoder, cmpnn_forward(G, spec, query, source).layers[-1][0])
+
+
 def score_link(
     spec: NetworkSpec,
     decoder: MLPDecoder,
@@ -801,30 +932,12 @@ def score_link(
     source: int | str,
     target: int | str,
 ) -> float:
-    """Probability in (0, 1) that the queried fact holds, via the decoder.
-
-    Float mode only: the final squashing is transcendental, so exact mode
-    is rejected.
-    """
-    if spec.exact:
-        raise ValidationError("link scores use a sigmoid; run in float mode")
-    u = G._resolve_node(source)
+    """Probability in (0, 1) that the queried fact holds: the ``target``
+    entry of :func:`score_tails`, decoding that tail alone."""
+    _check_decoder(spec, decoder)
     v = G._resolve_node(target)
-    table = cmpnn_forward(G, spec, query, u)
-    h = np.asarray(table.vector(spec.num_layers, (u, v)), dtype=float)
-    hidden = np.maximum(
-        np.asarray(decoder.hidden_weights, dtype=float) @ h
-        + np.asarray(decoder.hidden_bias, dtype=float),
-        0.0,
-    )
-    logit = float(np.asarray(decoder.output_weights, dtype=float) @ hidden) + (
-        decoder.output_bias
-    )
-    try:
-        return 1.0 / (1.0 + math.exp(-logit))
-    except OverflowError:  # logit below about -709: exp(logit) underflows instead
-        e = math.exp(logit)
-        return e / (1.0 + e)
+    final = cmpnn_forward(G, spec, query, source).layers[-1][0]
+    return float(_decode(decoder, final[v : v + 1])[0])
 
 
 # ---------------------------------------------------------------------------

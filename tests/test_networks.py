@@ -22,6 +22,7 @@ from relwl.networks import (
     random_rmpnn_spec,
     rmpnn_forward,
     score_link,
+    score_tails,
     sign_basis,
     spec_from_json_dict,
     spec_to_json_dict,
@@ -30,6 +31,7 @@ from relwl.wl import HistoryFunction, equivalent, run_test
 
 from builder_reference import mat_inverse, mat_mul
 from conftest import random_permutation
+from forward_reference import reference_score_link
 
 
 def _diag(g):
@@ -425,6 +427,34 @@ def test_score_link_rejects_exact_mode(graph_a):
         score_link(spec, MLPDecoder.zeros(2), graph_a, "r1", "u", "v")
 
 
+def test_score_link_rejects_mismatched_decoder(graph_a):
+    spec = _float_cmpnn(graph_a)  # final width 2
+    decoder = MLPDecoder.random(np.random.default_rng(0), d_in=3, hidden=4)
+    with pytest.raises(ValidationError, match="width 2"):
+        score_link(spec, decoder, graph_a, "r1", "u", "v")
+    with pytest.raises(ValidationError, match="width 2"):
+        score_tails(spec, decoder, graph_a, "r1", "u")
+    short = replace(MLPDecoder.zeros(d_in=2, hidden=4), hidden_bias=(0.0,) * 3)
+    with pytest.raises(ValidationError, match="length 4"):
+        score_tails(spec, short, graph_a, "r1", "u")
+
+
+def test_score_tails_is_score_link_for_every_tail():
+    g = random_kg(3, 9, 3, 0.4)
+    spec = _float_cmpnn(g, seed=4, layers=3, dim=4)
+    decoder = MLPDecoder.random(np.random.default_rng(2), d_in=4, hidden=8)
+    query = g.relation_names[-1]
+    for u in g.node_names:
+        tails = score_tails(spec, decoder, g, query, u)
+        assert tails.shape == (g.n,)
+        for v in range(g.n):
+            link = score_link(spec, decoder, g, query, u, v)
+            assert link == tails[v]
+            assert link == reference_score_link(spec, decoder, g, query, g.node_id(u), v)
+    low = replace(MLPDecoder.zeros(d_in=4, hidden=8), output_bias=-800.0)
+    assert score_tails(spec, low, g, query, 0).tolist() == [0.0] * g.n
+
+
 def test_score_link_equal_for_indistinguishable_pairs(graph_a):
     spec = _float_cmpnn(graph_a, seed=7)
     decoder = MLPDecoder.random(np.random.default_rng(3), d_in=2, hidden=8)
@@ -462,7 +492,8 @@ def test_delta3_equivariance_with_pinned_noise(graph_b):
     permuted = permute_nodes(graph_b, perm)
     table = cmpnn_pair_table(graph_b, spec, "r")
     table_p = cmpnn_pair_table(permuted, spec, "r")
-    for (u, v), vec in table.layers[spec.num_layers].items():
+    for u, v in table.keys():
+        vec = table.vector(spec.num_layers, (u, v))
         other = table_p.vector(spec.num_layers, (perm[u], perm[v]))
         assert np.allclose(vec, other, atol=1e-12)
 
@@ -502,7 +533,8 @@ def test_pna_aggregation_runs_and_is_equivariant(graph_b):
     perm = random_permutation(random.Random(2), graph_b.n)
     permuted = permute_nodes(graph_b, perm)
     table_p = cmpnn_pair_table(permuted, spec, "r")
-    for (u, v), vec in table.layers[1].items():
+    for u, v in table.keys():
+        vec = table.vector(1, (u, v))
         assert np.allclose(vec, table_p.vector(1, (perm[u], perm[v])), atol=1e-12)
 
 
@@ -566,6 +598,51 @@ def test_spec_json_round_trip_float(graph_a):
     spec = _float_cmpnn(graph_a, seed=12)
     doc = json.loads(json.dumps(spec_to_json_dict(spec)))
     assert spec_from_json_dict(doc) == spec
+
+
+def _spec_4x4(theta, param, kind="rmpnn", dims=(4, 4), **extra):
+    return NetworkSpec(
+        kind=kind,
+        num_layers=1,
+        dims=dims,
+        weights=(((0.5,) * dims[0],) * dims[1],),
+        biases=(None,),
+        relation_params=({"r": param},),
+        theta_kind=theta,
+        **extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "theta, param, extra",
+    [
+        ("theta2", (1.0, 2.0), {}),
+        ("theta3", ((1.0,) * 4,) * 3, {}),
+        ("scaling", (1.0,) * 4, {}),
+        ("theta2", (1.0,) * 4, {"dims": (4, 2), "update_kind": "separate"}),
+        ("theta1", ((1.0,) * 3,) * 4,
+         {"kind": "cmpnn", "delta_kind": "delta1", "query_vectors": {"r": (1.0,) * 4}}),
+        ("theta3", ((1.0,) * 4,) * 4,
+         {"kind": "cmpnn", "delta_kind": "delta2", "query_vectors": {"r": (1.0,) * 3}}),
+        ("theta3", ((1.0,) * 4,) * 4,
+         {"kind": "cmpnn", "delta_kind": "delta3", "query_vectors": {"r": (1.0,) * 4},
+          "node_noise": {"a": (0.5,) * 3}}),
+    ],
+    ids=["theta2-short", "theta3-3x4", "scaling-vector", "theta2-separate-width",
+         "theta1-columns", "delta2-query-length", "delta3-noise-length"],
+)
+def test_spec_rejects_malformed_message_shapes(theta, param, extra):
+    with pytest.raises(ValidationError):
+        _spec_4x4(theta, param, **extra)
+
+
+def test_spec_accepts_matching_message_shapes():
+    g = from_triples([("a", "r", "b")], node_order=("a", "b"))
+    spec = _spec_4x4("theta3", ((1.0,) * 4,) * 4)
+    table = rmpnn_forward(g, spec, [(1.0,) * 4] * 2)
+    assert table.vector(1, 1).shape == (4,)
+    separate = _spec_4x4("theta3", ((1.0,) * 4,) * 2, dims=(4, 2), update_kind="separate")
+    assert separate.relation_params[0]["r"][1] == (1.0,) * 4
 
 
 def test_non_identity_history_needs_uniform_dims():
