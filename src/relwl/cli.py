@@ -22,14 +22,13 @@ from .corpus import FIXTURE_NAMES, fixture
 from .errors import RelwlError
 from .graphs import KnowledgeGraph, default_pair_coloring, load_graph
 from .logic import (
-    Atom,
+    atoms_of,
     classify_pairs_via_compile,
     compile_gml_to_rmpnn,
     eval_gml_all,
     eval_rgfo3_all,
     parse_formula,
     pretty,
-    subformula_index,
     translate_gml_to_rgfo3,
     translate_rgfo3_to_gml,
 )
@@ -90,6 +89,11 @@ def _history_arg(value: str) -> HistoryFunction:
             raise RelwlError(
                 f"{value}:{exc.lineno}: history is not valid JSON: {exc.msg}"
             ) from None
+    if not isinstance(table, list):
+        raise RelwlError(
+            f"{value}: history must be a JSON list of integers, "
+            f"got {type(table).__name__}"
+        )
     return HistoryFunction.from_table(table)
 
 
@@ -185,7 +189,7 @@ def _cmd_logic(args) -> int:
         vocabulary = (
             tuple(args.vocab.split(","))
             if args.vocab
-            else tuple(sorted({a.label for a in _atoms(formula)}))
+            else tuple(sorted(atoms_of(formula)))
         )
         compiled = compile_gml_to_rmpnn(formula, vocabulary)
         doc["vocabulary"] = list(vocabulary)
@@ -228,10 +232,6 @@ def _cmd_logic(args) -> int:
         )
     _emit(doc, args.out)
     return 0
-
-
-def _atoms(formula):
-    return [n for n in subformula_index(formula) if isinstance(n, Atom)]
 
 
 def _cmd_fixture(args) -> int:
@@ -279,6 +279,16 @@ def _cmd_fixture(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relwl",
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=SUITE_NAMES + ("all",)
     )
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--trials", type=int, default=100)
+    verify_p.add_argument("--trials", type=_count, default=100)
     verify_p.add_argument("--out", default="json", choices=("json", "text"))
     verify_p.set_defaults(func=_cmd_verify)
 

@@ -5,6 +5,10 @@ over an interned node vocabulary, together with a node coloring and an
 optional coloring of ordered node pairs.  Everything in this module is an
 immutable value; operations return new graphs.
 
+``KnowledgeGraph.edges`` is the one array view of the facts, read by the
+refinement kernel, the network forward, the logic evaluator and the
+per-node queries ``incoming`` / ``neighborhood``.
+
 File formats (all TSV, UTF-8, ``#``-prefixed lines ignored):
 
 * triples:      ``head <TAB> relation <TAB> tail`` -- one fact per line,
@@ -26,10 +30,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     NodeBudgetError,
@@ -159,22 +166,36 @@ class KnowledgeGraph:
     # -- queries -------------------------------------------------------
 
     @functools.cached_property
-    def _incoming(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # Built on first use: the refinement kernel and the network forward
-        # read ``facts`` as arrays, so most derived graphs never need it.
-        incoming: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for r, s, t in self.facts:
-            incoming[t].append((r, s))
-        return tuple(tuple(x) for x in incoming)
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rel, src, dst)`` of every fact as read-only int64 arrays,
+        stably sorted by target, so the edges into each node keep the order
+        of ``facts``.  Built on first use."""
+        facts = np.fromiter(
+            itertools.chain.from_iterable(self.facts),
+            dtype=np.int64,
+            count=3 * len(self.facts),
+        ).reshape(-1, 3)
+        columns = facts[np.argsort(facts[:, 2], kind="stable")].T.copy()
+        columns.flags.writeable = False
+        rel, src, dst = columns
+        return rel, src, dst
+
+    def _into(self, v: int | str) -> slice:
+        """Where the edges into ``v`` lie in :attr:`edges`."""
+        vi = self._resolve_node(v)
+        return slice(*np.searchsorted(self.edges[2], (vi, vi + 1)).tolist())
 
     def incoming(self, v: int | str) -> tuple[tuple[int, int], ...]:
         """All ``(relation, source)`` pairs of facts whose target is ``v``."""
-        return self._incoming[self._resolve_node(v)]
+        rel, src, _ = self.edges
+        at = self._into(v)
+        return tuple(zip(rel[at].tolist(), src[at].tolist()))
 
     def neighborhood(self, v: int | str, r: int | str) -> set[int]:
         """Sources of ``r``-facts pointing into ``v``."""
-        vi, ri = self._resolve_node(v), self._resolve_relation(r)
-        return {s for rel, s in self._incoming[vi] if rel == ri}
+        at = self._into(v)
+        rel, src, _ = self.edges
+        return set(src[at][rel[at] == self._resolve_relation(r)].tolist())
 
     def has_fact(self, r: int | str, s: int | str, t: int | str) -> bool:
         triple = (

@@ -19,22 +19,26 @@ when at least N sources ``w`` of ``r``-facts into ``v`` make ``(u, w)``
 satisfy F.  The two readings are exchanged by re-tagging the same tree,
 and the unary reading compiles into an exact 0/1-valued message passing
 network with truncated-ReLU activations.
+
+One array evaluator serves both readings.  Each subformula gets a bool
+table of shape (n, B) whose rows are target nodes: B = 1 in unary mode,
+and B = n in binary mode, where column u holds the pairs ``(u, .)``.  A
+guarded subformula gathers its child's rows at the sources of its
+relation's facts (``G.edges``), adds them into the targets with one
+``np.add.at`` and compares the counts with N, the gather and scatter of
+the network forward.  So binary evaluation needs no pair graph.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    FormulaSyntaxError,
-    PreconditionError,
-    UnknownEntityError,
-    ValidationError,
-)
+from .errors import FormulaSyntaxError, PreconditionError, ValidationError
 from .graphs import KnowledgeGraph, product_square
 from .networks import FeatureTable, NetworkSpec, rmpnn_forward
 from .wl import HistoryFunction
@@ -207,14 +211,6 @@ def atoms_of(formula: Formula | Node) -> set[str]:
     }
 
 
-def relations_of(formula: Formula | Node) -> set[str]:
-    return {
-        node.relation
-        for node in subformula_index(formula)
-        if isinstance(node, GuardedExists)
-    }
-
-
 # ---------------------------------------------------------------------------
 # direct evaluation
 # ---------------------------------------------------------------------------
@@ -228,35 +224,41 @@ def _check_atoms(formula: Formula | Node, vocabulary: Iterable[str], role: str):
         )
 
 
+def _truth(G: KnowledgeGraph, formula: Formula, atom) -> np.ndarray:
+    """Truth of ``formula`` as a bool array (n, B) with one row per node,
+    computed bottom-up from the atom tables ``atom(label)``."""
+    rel, src, dst = G.edges
+    tables: dict[Node, np.ndarray] = {}
+    for sub in subformula_index(formula):
+        if isinstance(sub, Atom):
+            tables[sub] = atom(sub.label)
+        elif isinstance(sub, Not):
+            tables[sub] = ~tables[sub.child]
+        elif isinstance(sub, And):
+            tables[sub] = tables[sub.left] & tables[sub.right]
+        else:
+            child = tables[sub.child]
+            # an absent relation matches no edge: no witnesses anywhere
+            on = rel == G._relation_index.get(sub.relation, -1)
+            counts = np.zeros(child.shape, dtype=np.int64)
+            np.add.at(counts, dst[on], child[src[on]])
+            tables[sub] = counts >= sub.count
+    return tables[formula.root]
+
+
+def _label_is(labels: Sequence[str], label: str) -> np.ndarray:
+    """Which color ids carry ``label``."""
+    return np.array([x == label for x in labels], dtype=bool)
+
+
 def eval_gml_all(G: KnowledgeGraph, formula: Formula) -> dict[int, bool]:
     """Truth of a unary formula at every node, computed bottom-up."""
     if formula.arity != "unary":
         raise ValidationError("node evaluation needs a unary formula")
     _check_atoms(formula, G.color_labels, "node")
-    n = G.n
-    tables: dict[Node, list[bool]] = {}
-    for sub in subformula_index(formula):
-        if isinstance(sub, Atom):
-            tables[sub] = [G.color_label_of(v) == sub.label for v in range(n)]
-        elif isinstance(sub, Not):
-            tables[sub] = [not x for x in tables[sub.child]]
-        elif isinstance(sub, And):
-            tables[sub] = [
-                a and b for a, b in zip(tables[sub.left], tables[sub.right])
-            ]
-        else:
-            child = tables[sub.child]
-            try:
-                rel = G.relation_id(sub.relation)
-            except UnknownEntityError:
-                tables[sub] = [False] * n  # relation absent: no witnesses
-                continue
-            tables[sub] = [
-                sum(1 for r, w in G.incoming(v) if r == rel and child[w])
-                >= sub.count
-                for v in range(n)
-            ]
-    return dict(enumerate(tables[formula.root]))
+    colors = np.asarray(G.node_colors, dtype=np.int64)[:, None]  # one column
+    truth = _truth(G, formula, lambda label: _label_is(G.color_labels, label)[colors])
+    return dict(enumerate(truth[:, 0].tolist()))
 
 
 def eval_gml(G: KnowledgeGraph, formula: Formula, v: int | str) -> bool:
@@ -270,40 +272,11 @@ def eval_rgfo3_all(G: KnowledgeGraph, formula: Formula) -> dict[tuple[int, int],
     if G.pair_coloring is None:
         raise PreconditionError("pair evaluation needs a pair coloring")
     _check_atoms(formula, G.pair_coloring.labels, "pair")
-    n = G.n
-    pc = G.pair_coloring
-    tables: dict[Node, list[bool]] = {}  # flat index u * n + v
-    for sub in subformula_index(formula):
-        if isinstance(sub, Atom):
-            tables[sub] = [
-                pc.labels[pc.colors[idx]] == sub.label for idx in range(n * n)
-            ]
-        elif isinstance(sub, Not):
-            tables[sub] = [not x for x in tables[sub.child]]
-        elif isinstance(sub, And):
-            tables[sub] = [
-                a and b for a, b in zip(tables[sub.left], tables[sub.right])
-            ]
-        else:
-            child = tables[sub.child]
-            try:
-                rel = G.relation_id(sub.relation)
-            except UnknownEntityError:
-                tables[sub] = [False] * (n * n)
-                continue
-            out = []
-            for u in range(n):
-                row = u * n
-                for v in range(n):
-                    witnesses = sum(
-                        1
-                        for r, w in G.incoming(v)
-                        if r == rel and child[row + w]
-                    )
-                    out.append(witnesses >= sub.count)
-            tables[sub] = out
-    flat = tables[formula.root]
-    return {(u, v): flat[u * n + v] for u in range(n) for v in range(n)}
+    n, pc = G.n, G.pair_coloring
+    # row v, column u: the color of the pair (u, v)
+    colors = np.asarray(pc.colors, dtype=np.int64).reshape(n, n).T
+    truth = _truth(G, formula, lambda label: _label_is(pc.labels, label)[colors])
+    return dict(zip(itertools.product(range(n), repeat=2), truth.T.ravel().tolist()))
 
 
 def eval_rgfo3(G: KnowledgeGraph, formula: Formula, u: int | str, v: int | str) -> bool:

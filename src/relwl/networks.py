@@ -16,10 +16,10 @@ Two update shapes occur in practice and both are supported:
 * ``combine``:  h <- sigma(W (h_self + aggregate) + bias)
 * ``separate``: h <- sigma(W h_self + aggregate + bias)
 
-A layer is array algebra over the edge arrays ``(rel, src, dst)`` of the
-facts, stably sorted by target.  Features are one array of shape
-(n, B, d) per layer, where B is a batch of sources: 1 for a node-level run
-or a single conditional run, and all n sources for
+A layer is array algebra over the graph's edge arrays ``G.edges`` =
+``(rel, src, dst)``, stably sorted by target.  Features are one array of
+shape (n, B, d) per layer, where B is a batch of sources: 1 for a
+node-level run or a single conditional run, and all n sources for
 :func:`cmpnn_pair_table`.  Each layer gathers the source rows ``H[src]``,
 applies one message op per relation (a stacked matrix-vector product or
 an elementwise product), sums the messages into their targets with one
@@ -43,7 +43,6 @@ multiplied.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -406,12 +405,6 @@ class FeatureTable:
             values = (row.tobytes() for row in rows)
         return dict(zip(self.keys(), values))
 
-    def partition(self, t: int) -> frozenset[frozenset]:
-        classes: dict = {}
-        for key, value in self.assignment(t).items():
-            classes.setdefault(value, []).append(key)
-        return frozenset(frozenset(c) for c in classes.values())
-
     def to_json_dict(self, node_names: Sequence[str]) -> dict:
         def name(key):
             if self.arity == 1:
@@ -482,16 +475,6 @@ def _sigma(kind: str, pre: np.ndarray, assert_nonzero: bool) -> np.ndarray:
     if kind == "truncated-relu":
         return np.minimum(np.maximum(pre, zero), one)
     return pre
-
-
-def _edges(G: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rel, src, dst)`` of every fact, stably sorted by target, so the
-    edges into each node keep the order of ``G.incoming``."""
-    facts = np.fromiter(
-        itertools.chain.from_iterable(G.facts), dtype=np.int64, count=3 * len(G.facts)
-    ).reshape(-1, 3)
-    facts = facts[np.argsort(facts[:, 2], kind="stable")]
-    return facts[:, 0], facts[:, 1], facts[:, 2]
 
 
 class _Layer:
@@ -597,7 +580,7 @@ def _run_layers(
     arrays of ``Fraction``.
     """
     n = G.n
-    rel, src, dst = _edges(G)
+    rel, src, dst = G.edges
     pna = spec.psi_kind == "pna"
     log_mean_degree = _log_mean_degree(dst, n) if pna else 0.0
     features = [init]

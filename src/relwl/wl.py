@@ -80,6 +80,10 @@ class HistoryFunction:
         if self.table is not None:
             prev = 0
             for t, ft in enumerate(self.table):
+                if not isinstance(ft, int) or isinstance(ft, bool):
+                    raise ValidationError(
+                        f"history table entries must be integers, got {ft!r}"
+                    )
                 if ft > t:
                     raise ValidationError(f"history table has f({t})={ft} > {t}")
                 if ft < prev:
@@ -157,19 +161,10 @@ class WLTrace:
         except KeyError:
             raise UnknownEntityError(f"unknown node {name!r}") from None
 
-    def coloring(self, t: int) -> tuple[int, ...]:
-        return self.colorings[t]
-
     def keys(self) -> list:
         if self.arity == 1:
             return list(range(self.n))
         return [(u, v) for u in range(self.n) for v in range(self.n)]
-
-    def partition(self, t: int) -> frozenset[frozenset]:
-        classes: dict[int, list] = {}
-        for key, color in zip(self.keys(), self.colorings[t]):
-            classes.setdefault(color, []).append(key)
-        return frozenset(frozenset(c) for c in classes.values())
 
     def to_json_dict(self) -> dict:
         partitions = []
@@ -226,8 +221,7 @@ def _index_graph(base: str, H: KnowledgeGraph):
     Returns ``(src, dst, rel, relation count)``; pair ``(a, b)`` is node
     ``a * n + b``.
     """
-    facts = np.array(H.facts, dtype=np.int64).reshape(-1, 3)
-    rel, src, dst = facts[:, 0], facts[:, 1], facts[:, 2]
+    rel, src, dst = H.edges
     n, m = H.n, len(H.relation_names)
     if base == "rwl1":
         return src, dst, rel, m

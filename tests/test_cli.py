@@ -323,3 +323,26 @@ def test_logic_eval_malformed_pairs_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "--pairs" in _one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "text", ['{"a": 1}', '[0, "x"]', "5", "null", "[0, 0.5]", "[0, true]"]
+)
+def test_history_that_is_not_a_list_of_integers_exits_2(capsys, tmp_path, text):
+    table = tmp_path / "hist.json"
+    table.write_text(text, encoding="utf-8")
+    code, out, err = _run(
+        capsys, "run", "--test", "rwl1", "--graph", "fixture:gb",
+        "--history", str(table), "--iters", "2",
+    )
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    if not text.startswith("["):
+        assert line.startswith(f"error: {table}: ")
+
+
+def test_verify_rejects_negative_trials(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "fixtures", "--trials", "-3"])
+    assert info.value.code == 2
+    assert "--trials" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -426,3 +427,29 @@ def test_operations_commute_with_permutation(g, rng):
     # colors follow nodes
     for v in range(g.n):
         assert g.color_label_of(v) == h.color_label_of(perm[v])
+
+
+# -- the edge arrays ------------------------------------------------------------
+
+
+@given(small_graphs(n_max=7, r_max=3))
+@settings(max_examples=40, deadline=None)
+def test_incoming_and_neighborhood_read_the_edge_arrays(g):
+    for v in range(g.n):
+        # the facts into v, in the order of G.facts
+        assert g.incoming(v) == tuple((r, s) for r, s, t in g.facts if t == v)
+        assert g.incoming(g.node_names[v]) == g.incoming(v)
+        for r in range(len(g.relation_names)):
+            expected = {s for rel, s, t in g.facts if rel == r and t == v}
+            assert g.neighborhood(v, r) == expected
+            assert g.neighborhood(g.node_names[v], g.relation_names[r]) == expected
+    rel, src, dst = g.edges
+    assert sorted(zip(rel.tolist(), src.tolist(), dst.tolist())) == list(g.facts)
+    assert list(dst) == sorted(dst)
+    for column in g.edges:
+        assert column.dtype == np.int64 and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[:1] = 0
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+    assert g.edges is g.edges  # built once

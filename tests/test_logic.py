@@ -381,3 +381,71 @@ def test_negation_free_formulas_never_lose_truth():
         for key, value in before.items():
             if value:
                 assert after[key]
+
+
+# -- both evaluators against the oracles --------------------------------------------
+
+
+@st.composite
+def colored_graphs(draw):
+    """Up to 8 nodes, 1-3 relations with self-loops allowed, 1-3 node
+    colors, and a diagonal or colored-diagonal pair coloring."""
+    n = draw(st.integers(1, 8))
+    nodes = [f"n{i}" for i in range(n)]
+    relations = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+    triples = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(relations), st.sampled_from(nodes)
+            ),
+            max_size=2 * n,
+        )
+    )
+    g = from_triples(triples, node_order=nodes, relation_order=relations)
+    k = draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    g = g.with_node_coloring({name: f"c{c}" for name, c in zip(nodes, colors)})
+    mode = draw(st.sampled_from(["diagonal", "colored-diagonal"]))
+    return g.with_pair_coloring(default_pair_coloring(g, mode))
+
+
+@st.composite
+def formulas_over(draw, labels, relations, depth=4):
+    kind = draw(st.integers(0, 3)) if depth else 0
+    if kind == 0:
+        return Atom(draw(st.sampled_from(labels)))
+    if kind == 1:
+        return Not(draw(formulas_over(labels, relations, depth - 1)))
+    if kind == 2:
+        return And(
+            draw(formulas_over(labels, relations, depth - 1)),
+            draw(formulas_over(labels, relations, depth - 1)),
+        )
+    return GuardedExists(
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from(relations)),
+        draw(formulas_over(labels, relations, depth - 1)),
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_evaluators_match_the_oracles(data):
+    g = data.draw(colored_graphs())
+    relations = g.relation_names + ("absent",)  # one relation the graph lacks
+    unary = Formula(data.draw(formulas_over(g.color_labels, relations)), "unary")
+    binary = Formula(
+        data.draw(formulas_over(g.pair_coloring.labels, relations)), "binary"
+    )
+    nodes = eval_gml_all(g, unary)
+    assert list(nodes.items()) == [
+        (v, _brute_unary(g, unary.root, v)) for v in range(g.n)
+    ]
+    assert all(type(value) is bool for value in nodes.values())
+    pairs = eval_rgfo3_all(g, binary)
+    assert list(pairs.items()) == [
+        ((u, v), _brute_binary(g, binary.root, u, v))
+        for u in range(g.n)
+        for v in range(g.n)
+    ]
+    assert all(type(value) is bool for value in pairs.values())
