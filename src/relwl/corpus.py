@@ -94,6 +94,28 @@ def check_claim(fx: Fixture, claim: Claim) -> tuple[bool, object]:
     return observed == claim.separated_at, observed
 
 
+def _random_graph(seed, n_max, r_max, density, n_colors, targets) -> KnowledgeGraph:
+    """Seeded random graph whose source ``s`` of ``n`` nodes may reach the
+    targets ``targets(s, n)``; see :func:`random_kg`."""
+    rng = random.Random(seed)
+    n = rng.randint(1, n_max)
+    m = rng.randint(1, r_max)
+    nodes = tuple(f"n{i}" for i in range(n))
+    relations = tuple(f"r{i}" for i in range(m))
+    triples = [
+        (nodes[s], r, nodes[t])
+        for r in relations
+        for s in range(n)
+        for t in targets(s, n)
+        if rng.random() < density
+    ]
+    graph = from_triples(triples, node_order=nodes, relation_order=relations)
+    if n_colors > 1:
+        assignment = {name: f"c{rng.randrange(n_colors)}" for name in nodes}
+        graph = graph.with_node_coloring(assignment)
+    return graph
+
+
 def random_kg(
     seed: int,
     n_max: int,
@@ -108,24 +130,7 @@ def random_kg(
     labels (only labels in use are interned); otherwise the coloring is
     uniform.  Identical arguments give identical graphs.
     """
-    rng = random.Random(seed)
-    n = rng.randint(1, n_max)
-    m = rng.randint(1, r_max)
-    nodes = tuple(f"n{i}" for i in range(n))
-    relations = tuple(f"r{i}" for i in range(m))
-    triples = []
-    for r in relations:
-        for s in nodes:
-            for t in nodes:
-                if rng.random() < density:
-                    triples.append((s, r, t))
-    graph = from_triples(triples, node_order=nodes, relation_order=relations)
-    if n_colors > 1:
-        assignment = {
-            name: f"c{rng.randrange(n_colors)}" for name in nodes
-        }
-        graph = graph.with_node_coloring(assignment)
-    return graph
+    return _random_graph(seed, n_max, r_max, density, n_colors, lambda s, n: range(n))
 
 
 def random_dag_kg(
@@ -137,22 +142,7 @@ def random_dag_kg(
 ) -> KnowledgeGraph:
     """Like :func:`random_kg` but facts only run from higher to lower node
     index, so every directed walk terminates (unravellings stay finite)."""
-    rng = random.Random(seed)
-    n = rng.randint(1, n_max)
-    m = rng.randint(1, r_max)
-    nodes = tuple(f"n{i}" for i in range(n))
-    relations = tuple(f"r{i}" for i in range(m))
-    triples = []
-    for r in relations:
-        for s in range(n):
-            for t in range(s):
-                if rng.random() < density:
-                    triples.append((nodes[s], r, nodes[t]))
-    graph = from_triples(triples, node_order=nodes, relation_order=relations)
-    if n_colors > 1:
-        assignment = {name: f"c{rng.randrange(n_colors)}" for name in nodes}
-        graph = graph.with_node_coloring(assignment)
-    return graph
+    return _random_graph(seed, n_max, r_max, density, n_colors, lambda s, n: range(s))
 
 
 def random_history(rng: random.Random, horizon: int) -> HistoryFunction:

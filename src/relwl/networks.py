@@ -383,12 +383,21 @@ class FeatureTable:
 
     def vector(self, t: int, key):
         """Feature of one key: a tuple of ``Fraction`` in exact mode, else
-        a float64 row."""
-        if self.arity == 1:
-            row = self.layers[t][key]
-        else:
-            u, v = key
-            row = self.layers[t][self._row[u], v]
+        a float64 row.  A key outside :meth:`keys` raises
+        :class:`UnknownEntityError`."""
+        layer = self.layers[t]
+        try:  # numpy rejects indices past the end; a negative one would wrap
+            if self.arity == 1:
+                if key < 0:
+                    raise IndexError
+                row = layer[key]
+            else:
+                u, v = key
+                if v < 0:
+                    raise IndexError
+                row = layer[self._row[u], v]
+        except (IndexError, KeyError):
+            raise UnknownEntityError(f"no features for key {key!r}") from None
         return tuple(row.tolist()) if self.exact else row
 
     def _rows(self, t: int) -> np.ndarray:
@@ -418,7 +427,7 @@ class FeatureTable:
             rows = self._rows(t)
             layers.append(
                 [
-                    {"key": name(keys[i]), "value": _vec_to_json(rows[i], self.exact)}
+                    {"key": name(keys[i]), "value": _to_json(rows[i], self.exact)}
                     for i in order
                 ]
             )
@@ -948,6 +957,41 @@ def _random_exact_vector(rng, dim: int, nonzero: bool = False) -> tuple:
             return v
 
 
+def _random_param(rng, theta_kind: str, dim: int):
+    """One relation's message parameter, shaped as ``theta_kind`` needs."""
+    if theta_kind == "theta2":
+        return _random_exact_vector(rng, dim)
+    if theta_kind == "scaling":
+        return random_rational(rng)
+    return _random_exact_matrix(rng, dim, dim)
+
+
+def _random_spec(G, rng, kind, num_layers, dim, theta_kind, history, **fields) -> NetworkSpec:
+    """Random exact weights, then relation parameters, then (for cmpnn)
+    nonzero query vectors, in that draw order."""
+    weights = tuple(_random_exact_matrix(rng, dim, dim) for _ in range(num_layers))
+    rel_params = tuple(
+        {name: _random_param(rng, theta_kind, dim) for name in G.relation_names}
+        for _ in range(num_layers)
+    )
+    if kind == "cmpnn":
+        fields["query_vectors"] = {
+            name: _random_exact_vector(rng, dim, nonzero=True) for name in G.relation_names
+        }
+    return NetworkSpec(
+        kind=kind,
+        num_layers=num_layers,
+        dims=(dim,) * (num_layers + 1),
+        weights=weights,
+        biases=(None,) * num_layers,
+        relation_params=rel_params,
+        theta_kind=theta_kind,
+        history=history or HistoryFunction.identity(),
+        numeric_mode="exact",
+        **fields,
+    )
+
+
 def random_cmpnn_spec(
     G: KnowledgeGraph,
     rng,
@@ -958,39 +1002,8 @@ def random_cmpnn_spec(
     history: HistoryFunction | None = None,
 ) -> NetworkSpec:
     """Exact-rational conditional network with small random weights."""
-    weights = tuple(_random_exact_matrix(rng, dim, dim) for _ in range(num_layers))
-    rel_params = []
-    for _ in range(num_layers):
-        layer: dict[str, object] = {}
-        for name in G.relation_names:
-            if theta_kind == "theta1":
-                layer[name] = _random_exact_matrix(rng, dim, dim)
-            elif theta_kind == "theta2":
-                layer[name] = _random_exact_vector(rng, dim)
-            elif theta_kind == "theta3":
-                layer[name] = _random_exact_matrix(rng, dim, dim)
-            else:
-                layer[name] = random_rational(rng)
-        rel_params.append(layer)
-    query_vectors = {
-        name: _random_exact_vector(rng, dim, nonzero=True)
-        for name in G.relation_names
-    }
-    return NetworkSpec(
-        kind="cmpnn",
-        num_layers=num_layers,
-        dims=(dim,) * (num_layers + 1),
-        weights=weights,
-        biases=(None,) * num_layers,
-        relation_params=tuple(rel_params),
-        theta_kind=theta_kind,
-        psi_kind="sum",
-        sigma_kind="relu",
-        update_kind="combine",
-        history=history or HistoryFunction.identity(),
-        numeric_mode="exact",
-        delta_kind=delta_kind,
-        query_vectors=query_vectors,
+    return _random_spec(
+        G, rng, "cmpnn", num_layers, dim, theta_kind, history, delta_kind=delta_kind
     )
 
 
@@ -1004,31 +1017,8 @@ def random_rmpnn_spec(
     sigma_kind: str = "relu",
 ) -> NetworkSpec:
     """Exact-rational node-level network with small random weights."""
-    weights = tuple(_random_exact_matrix(rng, dim, dim) for _ in range(num_layers))
-    rel_params = []
-    for _ in range(num_layers):
-        layer: dict[str, object] = {}
-        for name in G.relation_names:
-            if theta_kind == "theta2":
-                layer[name] = _random_exact_vector(rng, dim)
-            elif theta_kind == "theta3":
-                layer[name] = _random_exact_matrix(rng, dim, dim)
-            else:
-                layer[name] = random_rational(rng)
-        rel_params.append(layer)
-    return NetworkSpec(
-        kind="rmpnn",
-        num_layers=num_layers,
-        dims=(dim,) * (num_layers + 1),
-        weights=weights,
-        biases=(None,) * num_layers,
-        relation_params=tuple(rel_params),
-        theta_kind=theta_kind,
-        psi_kind="sum",
-        sigma_kind=sigma_kind,
-        update_kind="combine",
-        history=history or HistoryFunction.identity(),
-        numeric_mode="exact",
+    return _random_spec(
+        G, rng, "rmpnn", num_layers, dim, theta_kind, history, sigma_kind=sigma_kind
     )
 
 
@@ -1037,50 +1027,38 @@ def random_rmpnn_spec(
 # ---------------------------------------------------------------------------
 
 
-def _num_to_json(x, exact: bool):
+def _to_json(value, exact: bool):
+    """JSON form of a number, or of nested tuples, lists or arrays of
+    numbers (as lists); exact numbers become num/den pairs."""
+    if value is None:
+        return None
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_to_json(x, exact) for x in value]
     if exact:
-        f = Fraction(x)
+        f = Fraction(value)
         return {"num": f.numerator, "den": f.denominator}
-    return float(x)
+    return float(value)
 
 
-def _num_from_json(x, exact: bool):
+def _from_json(value, exact: bool):
+    """Inverse of :func:`_to_json`; lists come back as tuples."""
+    if value is None:
+        return None
+    if isinstance(value, list):
+        return tuple(_from_json(x, exact) for x in value)
     if exact:
-        return Fraction(x["num"], x["den"])
-    return float(x)
-
-
-def _vec_to_json(v, exact: bool):
-    return [_num_to_json(x, exact) for x in v]
-
-
-def _vec_from_json(v, exact: bool):
-    return tuple(_num_from_json(x, exact) for x in v)
-
-
-def _mat_to_json(m, exact: bool):
-    return [_vec_to_json(row, exact) for row in m]
-
-
-def _mat_from_json(m, exact: bool):
-    return tuple(_vec_from_json(row, exact) for row in m)
+        return Fraction(value["num"], value["den"])
+    return float(value)
 
 
 def spec_to_json_dict(spec: NetworkSpec) -> dict:
     """Lossless JSON form; exact rationals serialize as num/den pairs."""
     exact = spec.exact
-    param_kind = "scale" if spec.theta_kind == "scaling" else (
-        "vector" if spec.theta_kind == "theta2" else "matrix"
-    )
 
-    def param_to_json(value):
-        if param_kind == "scale":
-            return _num_to_json(value, exact)
-        if param_kind == "vector":
-            return _vec_to_json(value, exact)
-        return _mat_to_json(value, exact)
+    def named(table, exact):
+        return {k: _to_json(v, exact) for k, v in sorted(table.items())} if table else None
 
-    doc = {
+    return {
         "kind": spec.kind,
         "num_layers": spec.num_layers,
         "dims": list(spec.dims),
@@ -1091,75 +1069,46 @@ def spec_to_json_dict(spec: NetworkSpec) -> dict:
         "update_kind": spec.update_kind,
         "history": {
             "kind": spec.history.kind,
-            "table": list(spec.history.table) if spec.history.table else None,
+            "table": None if spec.history.table is None else list(spec.history.table),
         },
-        "weights": [_mat_to_json(W, exact) for W in spec.weights],
-        "biases": [
-            _vec_to_json(b, exact) if b is not None else None for b in spec.biases
-        ],
+        "weights": _to_json(spec.weights, exact),
+        "biases": _to_json(spec.biases, exact),
         "relation_params": [
-            {name: param_to_json(value) for name, value in sorted(layer.items())}
+            {name: _to_json(value, exact) for name, value in sorted(layer.items())}
             for layer in spec.relation_params
         ],
         "delta_kind": spec.delta_kind,
         "rng_seed": spec.rng_seed,
         "assert_nonzero_preactivation": spec.assert_nonzero_preactivation,
-        "query_vectors": (
-            {k: _vec_to_json(v, exact) for k, v in sorted(spec.query_vectors.items())}
-            if spec.query_vectors
-            else None
-        ),
+        "query_vectors": named(spec.query_vectors, exact),
         "pair_table": (
-            [
-                [a, b, _vec_to_json(v, exact)]
-                for (a, b), v in sorted(spec.pair_table.items())
-            ]
+            [[a, b, _to_json(v, exact)] for (a, b), v in sorted(spec.pair_table.items())]
             if spec.pair_table
             else None
         ),
-        "node_noise": (
-            {k: list(map(float, v)) for k, v in sorted(spec.node_noise.items())}
-            if spec.node_noise
-            else None
-        ),
-        "query_noise": (
-            {k: list(map(float, v)) for k, v in sorted(spec.query_noise.items())}
-            if spec.query_noise
-            else None
-        ),
+        "node_noise": named(spec.node_noise, False),
+        "query_noise": named(spec.query_noise, False),
     }
-    return doc
 
 
 def spec_from_json_dict(doc: dict) -> NetworkSpec:
     exact = doc["numeric_mode"] == "exact"
-    theta = doc["theta_kind"]
-    param_kind = "scale" if theta == "scaling" else (
-        "vector" if theta == "theta2" else "matrix"
-    )
 
-    def param_from_json(value):
-        if param_kind == "scale":
-            return _num_from_json(value, exact)
-        if param_kind == "vector":
-            return _vec_from_json(value, exact)
-        return _mat_from_json(value, exact)
+    def named(table, exact):
+        return {k: _from_json(v, exact) for k, v in table.items()} if table else None
 
     history = doc["history"]
     return NetworkSpec(
         kind=doc["kind"],
         num_layers=doc["num_layers"],
         dims=tuple(doc["dims"]),
-        weights=tuple(_mat_from_json(W, exact) for W in doc["weights"]),
-        biases=tuple(
-            _vec_from_json(b, exact) if b is not None else None
-            for b in doc["biases"]
-        ),
+        weights=_from_json(doc["weights"], exact),
+        biases=_from_json(doc["biases"], exact),
         relation_params=tuple(
-            {name: param_from_json(value) for name, value in layer.items()}
+            {name: _from_json(value, exact) for name, value in layer.items()}
             for layer in doc["relation_params"]
         ),
-        theta_kind=theta,
+        theta_kind=doc["theta_kind"],
         psi_kind=doc["psi_kind"],
         sigma_kind=doc["sigma_kind"],
         update_kind=doc["update_kind"],
@@ -1169,26 +1118,14 @@ def spec_from_json_dict(doc: dict) -> NetworkSpec:
         ),
         numeric_mode=doc["numeric_mode"],
         delta_kind=doc["delta_kind"],
-        query_vectors=(
-            {k: _vec_from_json(v, exact) for k, v in doc["query_vectors"].items()}
-            if doc.get("query_vectors")
-            else None
-        ),
+        query_vectors=named(doc.get("query_vectors"), exact),
         pair_table=(
-            {(a, b): _vec_from_json(v, exact) for a, b, v in doc["pair_table"]}
+            {(a, b): _from_json(v, exact) for a, b, v in doc["pair_table"]}
             if doc.get("pair_table")
             else None
         ),
         rng_seed=doc.get("rng_seed", 0),
-        node_noise=(
-            {k: tuple(v) for k, v in doc["node_noise"].items()}
-            if doc.get("node_noise")
-            else None
-        ),
-        query_noise=(
-            {k: tuple(v) for k, v in doc["query_noise"].items()}
-            if doc.get("query_noise")
-            else None
-        ),
+        node_noise=named(doc.get("node_noise"), False),
+        query_noise=named(doc.get("query_noise"), False),
         assert_nonzero_preactivation=doc.get("assert_nonzero_preactivation", False),
     )

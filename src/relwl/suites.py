@@ -1,14 +1,16 @@
 """Seeded property suites behind ``relwl verify``.
 
 Each suite runs ``trials`` independent random instances (plus the fixed
-fixture claims) and returns one result per check.  A failing check always
-carries a witness: the generating graph, the indices involved, and the
-iteration at which the property broke.  Every trace any suite records is
-also checked for monotone refinement.
+fixture claims) and returns one result per check.  A check works out one
+failure dict for its instance, or None when the claim holds: the indices
+involved and the iteration at which the property broke.  A failing check
+reports that dict, with the generating graph added, as its witness.
+Every trace any suite records is also checked for monotone refinement.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -90,6 +92,18 @@ def _graph_witness(G: KnowledgeGraph) -> dict:
     }
 
 
+def _check(name: str, G: KnowledgeGraph, failure: dict | None) -> CheckResult:
+    """The result of one check; a failure is reported with G as witness."""
+    if failure is None:
+        return CheckResult(name, True)
+    return CheckResult(name, False, {"graph": _graph_witness(G), **failure})
+
+
+def _first(items, broken) -> dict | None:
+    """The first failure ``broken`` reports for ``items``, in order, else None."""
+    return next(filter(None, map(broken, items)), None)
+
+
 def _monotone_violation(trace: WLTrace) -> int | None:
     for t in range(len(trace.colorings) - 1):
         if not refines(trace.colorings[t + 1], trace.colorings[t]):
@@ -100,6 +114,20 @@ def _monotone_violation(trace: WLTrace) -> int | None:
 def _run_checked(test_id, G, history=None, horizon="stabilize") -> tuple[WLTrace, int | None]:
     trace = run_test(test_id, G, history, horizon)
     return trace, _monotone_violation(trace)
+
+
+def _traces(G, runs: dict, horizon, label: str) -> tuple[dict, dict | None]:
+    """Run ``runs`` (a key -> (test, history) map) on G, every one of them.
+
+    Returns the traces by key and, if some trace does not refine
+    monotonically, the failure of the last such run, named by ``label``.
+    """
+    traces, failure = {}, None
+    for key, (test_id, history) in runs.items():
+        traces[key], bad = _run_checked(test_id, G, history, horizon)
+        if bad is not None:
+            failure = {label: key, "monotone_violation": bad}
+    return traces, failure
 
 
 def _coloring_at(trace: WLTrace, t: int) -> tuple[int, ...]:
@@ -114,21 +142,18 @@ def suite_fixtures(seed: int, trials: int) -> list[CheckResult]:
         fx = fixture(name)
         for claim in fx.claims:
             ok, observed = check_claim(fx, claim)
-            witness = None
-            if not ok:
-                witness = {
-                    "graph": _graph_witness(fx.graph),
-                    "pair_a": list(claim.pair_a),
-                    "pair_b": list(claim.pair_b),
-                    "expected": claim.separated_at,
-                    "observed": repr(observed),
-                }
+            failure = None if ok else {
+                "pair_a": list(claim.pair_a),
+                "pair_b": list(claim.pair_b),
+                "expected": claim.separated_at,
+                "observed": repr(observed),
+            }
             results.append(
-                CheckResult(
+                _check(
                     f"fixtures/{name}/{claim.test_id}"
                     f"({','.join(claim.pair_a)})vs({','.join(claim.pair_b)})",
-                    ok,
-                    witness,
+                    fx.graph,
+                    failure,
                 )
             )
     return results
@@ -137,24 +162,23 @@ def suite_fixtures(seed: int, trials: int) -> list[CheckResult]:
 def suite_reduction(seed: int, trials: int) -> list[CheckResult]:
     """Pair refinement on G coincides with node refinement on the pair graph."""
     results = []
+    t_max = 4
     for i in range(trials):
         G = random_kg(seed + i, n_max=10, r_max=3, density=0.3)
         G = G.with_pair_coloring(default_pair_coloring(G))
         square = product_square(G)
-        t_max = 4
-        pair_trace, bad_a = _run_checked("rawl2", G, horizon=t_max)
-        node_trace, bad_b = _run_checked("rwl1", square, horizon=t_max)
-        passed = bad_a is None and bad_b is None
-        witness = None
-        if not passed:
-            witness = {"graph": _graph_witness(G), "monotone_violation": (bad_a, bad_b)}
+        pair, bad_a = _run_checked("rawl2", G, horizon=t_max)
+        node, bad_b = _run_checked("rwl1", square, horizon=t_max)
+        if bad_a is not None or bad_b is not None:
+            failure = {"monotone_violation": (bad_a, bad_b)}
         else:
-            for t in range(t_max + 1):
-                if not equivalent(pair_trace.colorings[t], node_trace.colorings[t]):
-                    passed = False
-                    witness = {"graph": _graph_witness(G), "iteration": t}
-                    break
-        results.append(CheckResult(f"reduction[{i}]", passed, witness))
+
+            def differs(t):
+                same = equivalent(pair.colorings[t], node.colorings[t])
+                return None if same else {"iteration": t}
+
+            failure = _first(range(t_max + 1), differs)
+        results.append(_check(f"reduction[{i}]", G, failure))
     return results
 
 
@@ -165,37 +189,23 @@ def suite_history(seed: int, trials: int) -> list[CheckResult]:
     for i in range(trials):
         G = random_kg(seed + i, n_max=10, r_max=3, density=0.3)
         rng = random.Random(seed * 7919 + i)
-        histories = [
+        histories = (
             HistoryFunction.identity(),
             HistoryFunction.zero(),
             random_history(rng, t_max),
-        ]
-        traces = []
-        passed, witness = True, None
-        for h in histories:
-            trace, bad = _run_checked("rwl1", G, h, horizon=t_max)
-            traces.append(trace)
-            if bad is not None:
-                passed, witness = False, {
-                    "graph": _graph_witness(G),
-                    "history": h.kind,
-                    "monotone_violation": bad,
-                }
-        if passed:
-            base = traces[0]
-            for h, other in zip(histories[1:], traces[1:]):
-                for t in range(t_max + 1):
-                    if not equivalent(base.colorings[t], other.colorings[t]):
-                        passed = False
-                        witness = {
-                            "graph": _graph_witness(G),
-                            "history": h.kind,
-                            "iteration": t,
-                        }
-                        break
-                if not passed:
-                    break
-        results.append(CheckResult(f"history[{i}]", passed, witness))
+        )
+        runs = {h.kind: ("rwl1", h) for h in histories}
+        traces, failure = _traces(G, runs, t_max, "history")
+        if failure is None:
+            base = traces.pop("identity").colorings
+
+            def differs(item):
+                kind, t = item
+                same = equivalent(base[t], traces[kind].colorings[t])
+                return None if same else {"history": kind, "iteration": t}
+
+            failure = _first(itertools.product(traces, range(t_max + 1)), differs)
+        results.append(_check(f"history[{i}]", G, failure))
     return results
 
 
@@ -213,35 +223,18 @@ def suite_hierarchy(seed: int, trials: int) -> list[CheckResult]:
     for i in range(trials):
         G = random_kg(seed + i, n_max=10, r_max=3, density=0.3)
         G = G.with_pair_coloring(default_pair_coloring(G))
-        traces = {}
-        passed, witness = True, None
-        for test_id in ("rawl2", "rwl2", "rawl2+", "rwl2+"):
-            trace, bad = _run_checked(test_id, G)
-            traces[test_id] = trace
-            if bad is not None:
-                passed, witness = False, {
-                    "graph": _graph_witness(G),
-                    "test": test_id,
-                    "monotone_violation": bad,
-                }
-        if passed:
+        runs = {test_id: (test_id, None) for test_id in ("rawl2", "rwl2", "rawl2+", "rwl2+")}
+        traces, failure = _traces(G, runs, "stabilize", "test")
+        if failure is None:
             horizon = max(len(tr.colorings) for tr in traces.values())
-            for finer, coarser in _HIERARCHY_EDGES:
-                for t in range(horizon):
-                    if not refines(
-                        _coloring_at(traces[finer], t),
-                        _coloring_at(traces[coarser], t),
-                    ):
-                        passed = False
-                        witness = {
-                            "graph": _graph_witness(G),
-                            "edge": [finer, coarser],
-                            "iteration": t,
-                        }
-                        break
-                if not passed:
-                    break
-        results.append(CheckResult(f"hierarchy[{i}]", passed, witness))
+
+            def breaks(item):
+                (finer, coarser), t = item
+                ok = refines(_coloring_at(traces[finer], t), _coloring_at(traces[coarser], t))
+                return None if ok else {"edge": [finer, coarser], "iteration": t}
+
+            failure = _first(itertools.product(_HIERARCHY_EDGES, range(horizon)), breaks)
+        results.append(_check(f"hierarchy[{i}]", G, failure))
     return results
 
 
@@ -270,60 +263,53 @@ def _upper_bound_violation(table, trace, t_max) -> tuple[int, object, object] | 
     return None
 
 
+def _alternating_history(i: int) -> HistoryFunction:
+    return HistoryFunction.identity() if i % 2 == 0 else HistoryFunction.zero()
+
+
+def _simulates(G, table, test_id, history, layers) -> dict | None:
+    """How a constructive simulator's features miss the refinement partitions."""
+    trace, bad = _run_checked(test_id, G, history, horizon=layers)
+    divergence = bad if bad is not None else _feature_partition_matches(table, trace, layers)
+    if divergence is None:
+        return None
+    return {"history": history.kind, "layers": layers, "iteration": divergence}
+
+
+def _bounded(G, table, test_id, history, layers) -> dict | None:
+    """How a network's features split what refinement cannot split."""
+    trace, bad = _run_checked(test_id, G, history, horizon=layers)
+    violation = ("monotone", bad) if bad is not None else _upper_bound_violation(
+        table, trace, layers
+    )
+    return None if violation is None else {"violation": repr(violation)}
+
+
 def suite_simulation(seed: int, trials: int) -> list[CheckResult]:
     """Constructive simulators hit the refinement partitions exactly, and
     random exact networks never refine past them."""
     results = []
     # constructive node-level simulators
     for i in range(trials):
-        history = HistoryFunction.identity() if i % 2 == 0 else HistoryFunction.zero()
-        layers = (i % 4) + 1
+        history, layers = _alternating_history(i), (i % 4) + 1
         G = random_kg(seed + i, n_max=7, r_max=3, density=0.3, n_colors=1 + i % 2)
         spec, init = build_rwl1_simulator(G, layers, history)
         table = rmpnn_forward(G, spec, init)
-        trace, bad = _run_checked("rwl1", G, history, horizon=layers)
-        divergence = None if bad is not None else _feature_partition_matches(
-            table, trace, layers
-        )
-        passed = bad is None and divergence is None
-        witness = None
-        if not passed:
-            witness = {
-                "graph": _graph_witness(G),
-                "history": history.kind,
-                "layers": layers,
-                "iteration": divergence if bad is None else bad,
-            }
-        results.append(CheckResult(f"simulation/node[{i}]", passed, witness))
+        failure = _simulates(G, table, "rwl1", history, layers)
+        results.append(_check(f"simulation/node[{i}]", G, failure))
     # constructive conditional simulators
     for i in range(max(1, trials // 3)):
-        history = HistoryFunction.identity() if i % 2 == 0 else HistoryFunction.zero()
-        layers = (i % 3) + 1
+        history, layers = _alternating_history(i), (i % 3) + 1
         G = random_kg(seed + 31 * (i + 1), n_max=5, r_max=2, density=0.3)
         G = G.with_pair_coloring(default_pair_coloring(G))
         spec, _ = build_cmpnn_simulator(G, layers, history)
         table = cmpnn_pair_table(G, spec, G.relation_names[0])
-        trace, bad = _run_checked("rawl2", G, history, horizon=layers)
-        divergence = None if bad is not None else _feature_partition_matches(
-            table, trace, layers
-        )
-        passed = bad is None and divergence is None
-        witness = None
-        if not passed:
-            witness = {
-                "graph": _graph_witness(G),
-                "history": history.kind,
-                "layers": layers,
-                "iteration": divergence if bad is None else bad,
-            }
-        results.append(CheckResult(f"simulation/conditional[{i}]", passed, witness))
+        failure = _simulates(G, table, "rawl2", history, layers)
+        results.append(_check(f"simulation/conditional[{i}]", G, failure))
     # refinement upper bounds for random exact networks
-    deltas = ("delta1", "delta2")
-    thetas = ("theta1", "theta2", "theta3")
     for i in range(trials):
         rng = random.Random(seed * 104729 + i)
-        history = HistoryFunction.identity() if i % 2 == 0 else HistoryFunction.zero()
-        layers = 2 + i % 2
+        history, layers = _alternating_history(i), 2 + i % 2
         G = random_kg(seed + 61 * (i + 1), n_max=6, r_max=2, density=0.3)
         G = G.with_pair_coloring(default_pair_coloring(G))
         spec = random_cmpnn_spec(
@@ -331,25 +317,20 @@ def suite_simulation(seed: int, trials: int) -> list[CheckResult]:
             rng,
             num_layers=layers,
             dim=2,
-            delta_kind=deltas[i % 2],
-            theta_kind=thetas[i % 3],
+            delta_kind=("delta1", "delta2")[i % 2],
+            theta_kind=("theta1", "theta2", "theta3")[i % 3],
             history=history,
         )
         table = cmpnn_pair_table(G, spec, G.relation_names[0])
-        trace, bad = _run_checked("rawl2", G, history, horizon=layers)
-        violation = None if bad is not None else _upper_bound_violation(
-            table, trace, layers
-        )
-        passed = bad is None and violation is None
-        witness = None
-        if not passed:
-            detail = violation if bad is None else ("monotone", bad)
-            witness = {"graph": _graph_witness(G), "violation": repr(detail)}
-        results.append(CheckResult(f"simulation/upper-pair[{i}]", passed, witness))
+        failure = _bounded(G, table, "rawl2", history, layers)
+        results.append(_check(f"simulation/upper-pair[{i}]", G, failure))
         # node-level counterpart: color-respecting features, random network
-        node_thetas = ("theta2", "theta3", "scaling")
         rmpnn = random_rmpnn_spec(
-            G, rng, num_layers=layers, dim=2, theta_kind=node_thetas[i % 3],
+            G,
+            rng,
+            num_layers=layers,
+            dim=2,
+            theta_kind=("theta2", "theta3", "scaling")[i % 3],
             history=history,
         )
         by_color = {}
@@ -361,17 +342,17 @@ def suite_simulation(seed: int, trials: int) -> list[CheckResult]:
                     break
         feats = [by_color[G.node_colors[v]] for v in range(G.n)]
         node_table = rmpnn_forward(G, rmpnn, feats)
-        node_trace, bad_n = _run_checked("rwl1", G, history, horizon=layers)
-        violation_n = None if bad_n is not None else _upper_bound_violation(
-            node_table, node_trace, layers
-        )
-        passed_n = bad_n is None and violation_n is None
-        witness_n = None
-        if not passed_n:
-            detail = violation_n if bad_n is None else ("monotone", bad_n)
-            witness_n = {"graph": _graph_witness(G), "violation": repr(detail)}
-        results.append(CheckResult(f"simulation/upper-node[{i}]", passed_n, witness_n))
+        failure = _bounded(G, node_table, "rwl1", history, layers)
+        results.append(_check(f"simulation/upper-node[{i}]", G, failure))
     return results
+
+
+def _pair_mismatch(on_pairs: dict, on_square: dict, n: int) -> dict | None:
+    """The first pair (u, v) whose value differs from pair-graph node u * n + v's."""
+    for (u, v), value in on_pairs.items():
+        if on_square[u * n + v] != value:
+            return {"pair": [u, v]}
+    return None
 
 
 def suite_logic(seed: int, trials: int) -> list[CheckResult]:
@@ -392,114 +373,60 @@ def suite_logic(seed: int, trials: int) -> list[CheckResult]:
         phi = random_formula(rng, pair_labels, relations, arity="binary")
         direct = eval_rgfo3_all(G, phi)
         lifted = eval_gml_all(square, translate_rgfo3_to_gml(phi))
-        n = G.n
-        mismatch = next(
-            (
-                (u, v)
-                for (u, v), value in direct.items()
-                if lifted[u * n + v] != value
-            ),
-            None,
-        )
-        ok = mismatch is None
-        results.append(
-            CheckResult(
-                f"logic/translate-binary[{i}]",
-                ok,
-                None
-                if ok
-                else {"graph": _graph_witness(G), "pair": list(mismatch)},
-            )
-        )
+        failure = _pair_mismatch(direct, lifted, G.n)
+        results.append(_check(f"logic/translate-binary[{i}]", G, failure))
         # unary -> binary through the pair graph
         psi = random_formula(rng, pair_labels, relations, arity="unary")
         on_square = eval_gml_all(square, psi)
         on_pairs = eval_rgfo3_all(G, translate_gml_to_rgfo3(psi))
-        mismatch = next(
-            (
-                (u, v)
-                for (u, v), value in on_pairs.items()
-                if on_square[u * n + v] != value
-            ),
-            None,
-        )
-        ok = mismatch is None
-        results.append(
-            CheckResult(
-                f"logic/translate-unary[{i}]",
-                ok,
-                None
-                if ok
-                else {"graph": _graph_witness(G), "pair": list(mismatch)},
-            )
-        )
+        failure = _pair_mismatch(on_pairs, on_square, G.n)
+        results.append(_check(f"logic/translate-unary[{i}]", G, failure))
         # compilation: every component is its subformula's 0/1 truth value
         node_phi = random_formula(rng, G.color_labels, relations, arity="unary")
         compiled = compile_gml_to_rmpnn(node_phi, G.color_labels)
         table = compiled.run(G)
-        failure = None
-        truth = {
-            sub: eval_gml_all(G, Formula(sub, "unary"))
-            for sub in compiled.subformulas
-        }
-        for comp, sub in enumerate(compiled.subformulas):
-            for t in range(comp + 1, compiled.width + 1):
-                for v in range(G.n):
-                    value = float(table.vector(t, v)[comp])
-                    if value not in (0.0, 1.0) or (value == 1.0) != truth[sub][v]:
-                        failure = {"component": comp, "iteration": t, "node": v}
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        results.append(
-            CheckResult(
-                f"logic/compile[{i}]",
-                failure is None,
-                None if failure is None else {"graph": _graph_witness(G), **failure},
-            )
+        subformulas = compiled.subformulas
+        truth = [eval_gml_all(G, Formula(sub, "unary")) for sub in subformulas]
+
+        def wrong(item):
+            comp, t, v = item
+            value = float(table.vector(t, v)[comp])
+            ok = value in (0.0, 1.0) and (value == 1.0) == truth[comp][v]
+            return None if ok else {"component": comp, "iteration": t, "node": v}
+
+        entries = (
+            (comp, t, v)
+            for comp in range(len(subformulas))
+            for t in range(comp + 1, compiled.width + 1)
+            for v in range(G.n)
         )
+        results.append(_check(f"logic/compile[{i}]", G, _first(entries, wrong)))
         # end-to-end pair classification through the compiled network
         verdict = classify_pairs_via_compile(phi, G)
-        mismatch = next(
-            (pair for pair, value in direct.items() if verdict[pair] != value), None
-        )
-        ok = mismatch is None
-        results.append(
-            CheckResult(
-                f"logic/classify[{i}]",
-                ok,
-                None
-                if ok
-                else {"graph": _graph_witness(G), "pair": list(mismatch)},
-            )
-        )
+
+        def disagrees(pair):
+            return None if verdict[pair] == direct[pair] else {"pair": list(pair)}
+
+        failure = _first(direct, disagrees)
+        results.append(_check(f"logic/classify[{i}]", G, failure))
     # unravelling tree codes against node refinement
     for i in range(max(1, trials // 2)):
         depth = i % 4
         G = random_dag_kg(seed + 13 * (i + 1), n_max=8, r_max=2, density=0.4, n_colors=2)
         trace, bad = _run_checked("rwl1", G, horizon=depth)
         codes = [canonical_tree_code(unravel(G, v, depth)) for v in range(G.n)]
-        failure = None
         if bad is not None:
             failure = {"monotone_violation": bad}
         else:
             colors = trace.colorings[depth]
-            for u in range(G.n):
-                for v in range(u + 1, G.n):
-                    if (codes[u] == codes[v]) != (colors[u] == colors[v]):
-                        failure = {"nodes": [u, v], "depth": depth}
-                        break
-                if failure:
-                    break
-        results.append(
-            CheckResult(
-                f"logic/unravel[{i}]",
-                failure is None,
-                None if failure is None else {"graph": _graph_witness(G), **failure},
-            )
-        )
+
+            def splits(pair):
+                u, v = pair
+                same = (codes[u] == codes[v]) == (colors[u] == colors[v])
+                return None if same else {"nodes": [u, v], "depth": depth}
+
+            failure = _first(itertools.combinations(range(G.n), 2), splits)
+        results.append(_check(f"logic/unravel[{i}]", G, failure))
     return results
 
 

@@ -6,11 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relwl.corpus import random_kg
-from relwl.errors import PreconditionError, ValidationError
+from relwl.errors import PreconditionError, UnknownEntityError, ValidationError
 from relwl.graphs import default_pair_coloring, from_triples, permute_nodes
 from relwl.networks import (
+    DELTA_KINDS,
+    PNA_WIDTH,
+    PSI_KINDS,
+    SIGMA_KINDS,
+    THETA_KINDS,
+    UPDATE_KINDS,
     MLPDecoder,
     NetworkSpec,
     build_cmpnn_simulator,
@@ -561,6 +569,29 @@ def test_feature_table_json_export(graph_b):
     assert {"num", "den"} == set(entry["value"][0])
 
 
+@pytest.mark.parametrize("key", [-1, -4, 4], ids=["last-by-wrap", "first-by-wrap", "past-end"])
+def test_feature_table_vector_rejects_unknown_nodes(graph_b, key):
+    spec, init = build_rwl1_simulator(graph_b, 1)
+    table = rmpnn_forward(graph_b, spec, init)
+    assert table.vector(1, 3) == table.assignment(1)[3]
+    with pytest.raises(UnknownEntityError, match="no features for key"):
+        table.vector(1, key)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(0, -1), (0, 4), (-1, 0), (1, 0)],
+    ids=["target-by-wrap", "target-past-end", "source-by-wrap", "source-not-run"],
+)
+def test_feature_table_vector_rejects_unknown_pairs(graph_b, key):
+    spec = _float_cmpnn(graph_b, seed=3)
+    table = cmpnn_forward(graph_b, spec, "r", 0)  # the pairs (0, v) only
+    full = cmpnn_pair_table(graph_b, spec, "r")
+    assert np.array_equal(table.vector(1, (0, 3)), full.vector(1, (0, 3)))
+    with pytest.raises(UnknownEntityError, match="no features for key"):
+        table.vector(1, key)
+
+
 # -- nonzero pre-activation guard ------------------------------------------------
 
 
@@ -673,6 +704,82 @@ def test_simulator_accepts_sparse_color_ids():
         assert equivalent(
             table.assignment(t), {v: trace.colorings[t][v] for v in range(2)}
         )
+
+
+@st.composite
+def _specs(draw):
+    """Valid specs over every theta, delta, psi and update kind, both
+    numeric modes, all history kinds, and optional noise and pair tables."""
+    exact = draw(st.booleans())
+    kind = draw(st.sampled_from(["rmpnn", "cmpnn"]))
+    theta = draw(st.sampled_from([k for k in THETA_KINDS if kind == "cmpnn" or k != "theta1"]))
+    delta = None
+    if kind == "cmpnn":
+        stochastic = ("delta3", "delta4") if exact else ()
+        delta = draw(st.sampled_from([k for k in DELTA_KINDS if k not in stochastic]))
+    update = draw(st.sampled_from(UPDATE_KINDS))
+    psi = draw(st.sampled_from(PSI_KINDS)) if not exact and update == "combine" else "sum"
+    layers, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    num = st.fractions(max_denominator=1000) if exact else floats
+
+    def vec(size, elements=num):
+        return st.lists(elements, min_size=size, max_size=size).map(tuple)
+
+    def mat(rows, cols):
+        return st.lists(vec(cols), min_size=rows, max_size=rows).map(tuple)
+
+    def named(keys, values, required=False):
+        table = draw(st.dictionaries(st.sampled_from(keys), values, min_size=int(required)))
+        return table or None
+
+    cols = d * (1 + PNA_WIDTH) if psi == "pna" else d
+    param = {"theta1": mat(d, d), "theta2": vec(d), "theta3": mat(d, d), "scaling": num}[theta]
+    relations, nodes = ("r0", "r1"), ("a", "b")
+    history = draw(st.sampled_from(["identity", "zero", "table"]))
+    if history == "table":
+        values = [0]
+        for step in draw(st.lists(st.integers(0, 2), max_size=6)):
+            values.append(min(len(values), values[-1] + step))
+        history = HistoryFunction.from_table(values[: draw(st.integers(0, len(values)))])
+    else:
+        history = HistoryFunction(history)
+    return NetworkSpec(
+        kind=kind,
+        num_layers=layers,
+        dims=(d,) * (layers + 1),
+        weights=tuple(draw(mat(d, cols)) for _ in range(layers)),
+        biases=tuple(draw(st.none() | vec(d)) for _ in range(layers)),
+        relation_params=tuple(
+            draw(st.dictionaries(st.sampled_from(relations), param)) for _ in range(layers)
+        ),
+        theta_kind=theta,
+        psi_kind=psi,
+        sigma_kind=draw(st.sampled_from(SIGMA_KINDS)),
+        update_kind=update,
+        history=history,
+        numeric_mode="exact" if exact else "float64",
+        delta_kind=delta,
+        query_vectors=named(
+            relations, vec(d), required=theta == "theta1" or delta in ("delta2", "delta3")
+        ),
+        pair_table=named(
+            [(a, b) for a in nodes for b in nodes], vec(d), required=delta == "pair-table"
+        ),
+        rng_seed=draw(st.integers(0, 2**32)),
+        node_noise=named(nodes, vec(d, floats)),
+        query_noise=named(relations, vec(d, floats)),
+        assert_nonzero_preactivation=draw(st.booleans()),
+    )
+
+
+@given(_specs())
+@settings(max_examples=120, deadline=None)
+def test_spec_json_round_trip_property(spec):
+    doc = spec_to_json_dict(spec)
+    restored = spec_from_json_dict(json.loads(json.dumps(doc)))
+    assert restored == spec
+    assert spec_to_json_dict(restored) == doc
 
 
 def test_pair_rows_deterministic(graph_b):

@@ -94,6 +94,27 @@ def test_class_counts_invariant_under_permutation(seed, test_id, kind, horizon, 
     assert [len(set(c)) for c in a.colorings] == [len(set(c)) for c in b.colorings]
 
 
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(TEST_IDS),
+    st.sampled_from(["identity", "zero", "table"]),
+    st.integers(0, 8),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_fixed_horizon_is_a_prefix_of_stabilize(seed, test_id, kind, k, colored):
+    g = _graph(seed, colored)
+    history = _history(kind, seed, max(k, _steps(test_id, g, "stabilize")))
+    fixed = run_test(test_id, g, history, k)
+    full = run_test(test_id, g, history, "stabilize")
+    common = min(len(fixed.colorings), len(full.colorings))
+    assert len(fixed.colorings) == k + 1
+    assert fixed.colorings[:common] == full.colorings[:common]
+    # the fixed run stabilises too exactly when its horizon reaches that point
+    reached = full.stabilized_at <= k
+    assert fixed.stabilized_at == (full.stabilized_at if reached else None)
+
+
 @given(st.integers(0, 10_000), st.sampled_from(TEST_IDS))
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_reference_with_hubs(seed, test_id):
