@@ -5,9 +5,10 @@ over an interned node vocabulary, together with a node coloring and an
 optional coloring of ordered node pairs.  Everything in this module is an
 immutable value; operations return new graphs.
 
-``KnowledgeGraph.edges`` is the one array view of the facts, read by the
-refinement kernel, the network forward, the logic evaluator and the
-per-node queries ``incoming`` / ``neighborhood``.
+``KnowledgeGraph.facts`` is sorted by ``(relation, source, target)``, and
+``KnowledgeGraph.edges``, the same facts as arrays read by the refinement
+kernel, the network forward, the logic evaluator and the per-node queries,
+is stably sorted by target.  One constructor validates every graph.
 
 File formats (all TSV, UTF-8, ``#``-prefixed lines ignored):
 
@@ -28,11 +29,9 @@ deterministic relative to input order.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -72,16 +71,10 @@ class PairColoring:
                 f"pair coloring must be total: expected {self.n * self.n} "
                 f"entries, got {len(self.colors)}"
             )
-        for c in self.colors:
-            if not 0 <= c < len(self.labels):
-                raise ValidationError(f"pair color id {c} out of range")
-        tnd = all(
-            self.colors[u * self.n + u] != self.colors[u * self.n + v]
-            for u in range(self.n)
-            for v in range(self.n)
-            if v != u
-        )
-        object.__setattr__(self, "tnd_flag", tnd)
+        colors = _color_ids(self.colors, len(self.labels), "pair color").reshape(self.n, self.n)
+        # each row's diagonal entry equals only itself
+        tnd = np.count_nonzero(colors == np.diagonal(colors)[:, None]) == self.n
+        object.__setattr__(self, "tnd_flag", bool(tnd))
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[u * self.n + v]
@@ -95,8 +88,9 @@ class KnowledgeGraph:
     """Immutable multi-relational graph with node and optional pair colors.
 
     ``facts`` holds deduplicated ``(relation, source, target)`` id triples in
-    sorted order.  ``node_colors[v]`` is a dense color id into
-    ``color_labels``.
+    sorted order; ``edges`` holds them as read-only int64 arrays ``(rel, src,
+    dst)``, stably sorted by target.  ``node_colors[v]`` is a dense color id
+    into ``color_labels``.
     """
 
     node_names: tuple[str, ...]
@@ -107,6 +101,7 @@ class KnowledgeGraph:
     pair_coloring: PairColoring | None = None
     _node_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _relation_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    edges: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = len(self.node_names), len(self.relation_names)
@@ -120,16 +115,23 @@ class KnowledgeGraph:
         object.__setattr__(self, "_relation_index", relation_index)
         if len(self.node_colors) != n:
             raise ValidationError("node coloring must cover every node")
-        for c in self.node_colors:
-            if not 0 <= c < len(self.color_labels):
-                raise ValidationError(f"node color id {c} out of range")
-        if sorted(set(self.facts)) != list(self.facts):
+        _color_ids(self.node_colors, len(self.color_labels), "node color")
+        malformed = "facts must be (relation, source, target) triples of integer ids"
+        facts = _ids(self.facts, (len(self.facts), 3), malformed)
+        # each row rises over the one before: weighted 4, 2, 1, the sign of
+        # the first nonzero column of the difference decides the total
+        rise = np.sign(facts[1:] - facts[:-1]) @ (4, 2, 1)
+        if np.count_nonzero(rise <= 0):
             raise ValidationError("facts must be sorted and deduplicated")
-        for r, s, t in self.facts:
-            if not (0 <= r < m and 0 <= s < n and 0 <= t < n):
-                raise ValidationError(f"fact ({r},{s},{t}) references unknown ids")
+        unknown, _ = ((facts < 0) | (facts >= (m, n, n))).nonzero()
+        if len(unknown):
+            r, s, t = self.facts[unknown[0]]
+            raise ValidationError(f"fact ({r},{s},{t}) references unknown ids")
         if self.pair_coloring is not None and self.pair_coloring.n != n:
             raise ValidationError("pair coloring sized for a different graph")
+        columns = facts[np.argsort(facts[:, 2], kind="stable")].T.astype(np.int64, order="C")
+        columns.flags.writeable = False
+        object.__setattr__(self, "edges", tuple(columns))
 
     # -- vocabulary ----------------------------------------------------
 
@@ -165,21 +167,6 @@ class KnowledgeGraph:
 
     # -- queries -------------------------------------------------------
 
-    @functools.cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rel, src, dst)`` of every fact as read-only int64 arrays,
-        stably sorted by target, so the edges into each node keep the order
-        of ``facts``.  Built on first use."""
-        facts = np.fromiter(
-            itertools.chain.from_iterable(self.facts),
-            dtype=np.int64,
-            count=3 * len(self.facts),
-        ).reshape(-1, 3)
-        columns = facts[np.argsort(facts[:, 2], kind="stable")].T.copy()
-        columns.flags.writeable = False
-        rel, src, dst = columns
-        return rel, src, dst
-
     def _into(self, v: int | str) -> slice:
         """Where the edges into ``v`` lie in :attr:`edges`."""
         vi = self._resolve_node(v)
@@ -198,12 +185,10 @@ class KnowledgeGraph:
         return set(src[at][rel[at] == self._resolve_relation(r)].tolist())
 
     def has_fact(self, r: int | str, s: int | str, t: int | str) -> bool:
-        triple = (
-            self._resolve_relation(r),
-            self._resolve_node(s),
-            self._resolve_node(t),
-        )
-        return triple in set(self.facts)
+        ri, si = self._resolve_relation(r), self._resolve_node(s)
+        at = self._into(t)
+        rel, src, _ = self.edges
+        return bool(((rel[at] == ri) & (src[at] == si)).any())
 
     def color_label_of(self, v: int | str) -> str:
         return self.color_labels[self.node_colors[self._resolve_node(v)]]
@@ -218,14 +203,7 @@ class KnowledgeGraph:
     # -- derived graphs ------------------------------------------------
 
     def with_pair_coloring(self, pc: PairColoring) -> "KnowledgeGraph":
-        return KnowledgeGraph(
-            self.node_names,
-            self.relation_names,
-            self.facts,
-            self.node_colors,
-            self.color_labels,
-            pc,
-        )
+        return replace(self, pair_coloring=pc)
 
     def with_node_coloring(self, labels: Mapping[str, str]) -> "KnowledgeGraph":
         """Recolor nodes from a name -> label mapping; unlisted nodes keep
@@ -233,19 +211,10 @@ class KnowledgeGraph:
         for name in labels:
             if name not in self._node_index:
                 raise ValidationError(f"color assignment for unknown node {name!r}")
-        vocab: dict[str, int] = {}
-        colors = [
-            vocab.setdefault(labels.get(name, DEFAULT_COLOR_LABEL), len(vocab))
-            for name in self.node_names
-        ]
-        return KnowledgeGraph(
-            self.node_names,
-            self.relation_names,
-            self.facts,
-            tuple(colors),
-            tuple(vocab),
-            self.pair_coloring,
+        colors, vocab = _dense_labels(
+            labels.get(name, DEFAULT_COLOR_LABEL) for name in self.node_names
         )
+        return replace(self, node_colors=colors, color_labels=vocab)
 
     def to_triple_lines(self) -> list[str]:
         return ["\t".join(t) for t in self.fact_names()]
@@ -272,15 +241,54 @@ def from_triples(
         intern(nodes, name)
     for name in relation_order:
         intern(relations, name)
-    facts = set()
-    for head, rel, tail in triples:
-        facts.add((intern(relations, rel), intern(nodes, head), intern(nodes, tail)))
-    return KnowledgeGraph(
-        tuple(nodes),
-        tuple(relations),
-        tuple(sorted(facts)),
-        (0,) * len(nodes),
-    )
+    ids = [
+        (intern(relations, rel), intern(nodes, head), intern(nodes, tail))
+        for head, rel, tail in triples
+    ]
+    facts = _canonical_facts(*np.array(ids, dtype=np.int64).reshape(-1, 3).T)
+    return KnowledgeGraph(tuple(nodes), tuple(relations), facts, (0,) * len(nodes))
+
+
+def _ids(values, shape: tuple[int, ...], message: str) -> np.ndarray:
+    """``values`` as integer ids of ``shape``, else ValidationError(message)."""
+    try:
+        ids = np.asarray(values)
+    except ValueError:  # ragged rows
+        raise ValidationError(message) from None
+    if ids.dtype.kind != "i" and ids.size:
+        # integers beyond int64 come back as uint64, floats or objects: keep
+        # them as Python ints, so the checks compare them as they were given
+        ids = np.array(values, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in ids.flat):
+            raise ValidationError(message)
+    if ids.shape != shape and (ids.size or shape[0]):  # () stands for no rows
+        raise ValidationError(message)
+    return ids.reshape(shape)
+
+
+def _dense_labels(labels: Iterable[str]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Ids of ``labels`` by order of first appearance, and the distinct labels."""
+    vocab: dict[str, int] = {}
+    ids = tuple(vocab.setdefault(label, len(vocab)) for label in labels)
+    return ids, tuple(vocab)
+
+
+def _color_ids(values, count: int, what: str) -> np.ndarray:
+    """Check ``values`` as color ids into ``count`` labels; return them."""
+    colors = _ids(values, (len(values),), f"{what} ids must be integers")
+    (outside,) = ((colors < 0) | (colors >= count)).nonzero()
+    if len(outside):
+        raise ValidationError(f"{what} id {values[outside[0]]} out of range")
+    return colors
+
+
+def _canonical_facts(rel, src, dst) -> tuple[tuple[int, int, int], ...]:
+    """The fact arrays as a ``facts`` tuple: sorted, deduplicated, Python ints."""
+    order = np.lexsort((dst, src, rel))
+    facts = np.stack((rel, src, dst), axis=1)[order]
+    keep = np.ones(len(facts), dtype=bool)
+    keep[1:] = (facts[1:] != facts[:-1]).any(axis=1)
+    return tuple(zip(*facts[keep].T.tolist()))
 
 
 def _read_tsv(path: Path, n_fields: int) -> list[tuple[int, list[str]]]:
@@ -365,9 +373,8 @@ def load_graph(
                 f"{pair_colors_file}: pair coloring must cover all {n * n} "
                 f"ordered pairs, got {len(flat)}"
             )
-        vocab: dict[str, int] = {}
-        colors = [vocab.setdefault(flat[idx], len(vocab)) for idx in range(n * n)]
-        graph = graph.with_pair_coloring(PairColoring(n, tuple(colors), tuple(vocab)))
+        colors, vocab = _dense_labels(flat[idx] for idx in range(n * n))
+        graph = graph.with_pair_coloring(PairColoring(n, colors, vocab))
 
     return graph
 
@@ -381,23 +388,16 @@ def default_pair_coloring(G: KnowledgeGraph, mode: str = "diagonal") -> PairColo
     """
     n = G.n
     if mode == "diagonal":
-        labels = ("eq", "neq")
-        colors = tuple(0 if u == v else 1 for u in range(n) for v in range(n))
-        return PairColoring(n, colors, labels)
+        colors = 1 - np.eye(n, dtype=np.int64)
+        return PairColoring(n, tuple(colors.ravel().tolist()), ("eq", "neq"))
     if mode == "colored-diagonal":
-        vocab: dict[str, int] = {}
-        colors_list = []
-        for u in range(n):
-            for v in range(n):
-                label = "|".join(
-                    (
-                        G.color_labels[G.node_colors[u]],
-                        G.color_labels[G.node_colors[v]],
-                        "eq" if u == v else "neq",
-                    )
-                )
-                colors_list.append(vocab.setdefault(label, len(vocab)))
-        return PairColoring(n, tuple(colors_list), tuple(vocab))
+        node_labels = [G.color_labels[c] for c in G.node_colors]
+        colors, vocab = _dense_labels(
+            f"{a}|{b}|{'eq' if u == v else 'neq'}"
+            for u, a in enumerate(node_labels)
+            for v, b in enumerate(node_labels)
+        )
+        return PairColoring(n, colors, vocab)
     raise ValidationError(f"unknown pair coloring mode {mode!r}")
 
 
@@ -416,17 +416,14 @@ def augment(G: KnowledgeGraph) -> KnowledgeGraph:
             candidate += "-"
         names.append(candidate)
         taken.add(candidate)
-    m = len(G.relation_names)
-    facts = set(G.facts)
-    facts.update((m + r, t, s) for r, s, t in G.facts if s != t)
-    return KnowledgeGraph(
-        G.node_names,
-        tuple(names),
-        tuple(sorted(facts)),
-        G.node_colors,
-        G.color_labels,
-        G.pair_coloring,
+    rel, src, dst = G.edges
+    mirror = src != dst
+    facts = _canonical_facts(
+        np.concatenate((rel, rel[mirror] + len(G.relation_names))),
+        np.concatenate((src, dst[mirror])),
+        np.concatenate((dst, src[mirror])),
     )
+    return replace(G, relation_names=tuple(names), facts=facts)
 
 
 def product_square(G: KnowledgeGraph) -> KnowledgeGraph:
@@ -447,16 +444,15 @@ def product_square(G: KnowledgeGraph) -> KnowledgeGraph:
     )
     if len(set(names)) != n * n:  # names with separators inside: fall back
         names = tuple(repr((a, b)) for a in G.node_names for b in G.node_names)
-    facts = sorted(
-        (r, a * n + w, a * n + v) for r, w, v in G.facts for a in range(n)
+    rel, src, dst = G.edges
+    rows = np.arange(n, dtype=np.int64)[:, None] * n
+    facts = _canonical_facts(
+        np.broadcast_to(rel, (n, len(rel))).ravel(),
+        (rows + src).ravel(),
+        (rows + dst).ravel(),
     )
-    return KnowledgeGraph(
-        names,
-        G.relation_names,
-        tuple(facts),
-        G.pair_coloring.colors,
-        G.pair_coloring.labels,
-    )
+    pc = G.pair_coloring
+    return KnowledgeGraph(names, G.relation_names, facts, pc.colors, pc.labels)
 
 
 @dataclass(frozen=True, eq=True)
@@ -554,21 +550,18 @@ def canonical_tree_code(tree: UnravellingTree) -> str:
 def permute_nodes(G: KnowledgeGraph, perm: tuple[int, ...]) -> KnowledgeGraph:
     """Relabel nodes by ``perm`` (old id -> new id); everything follows."""
     n = G.n
-    if sorted(perm) != list(range(n)):
-        raise ValidationError("perm must be a permutation of node ids")
-    names = [""] * n
-    colors = [0] * n
-    for old, new in enumerate(perm):
-        names[new] = G.node_names[old]
-        colors[new] = G.node_colors[old]
-    facts = tuple(sorted((r, perm[s], perm[t]) for r, s, t in G.facts))
+    invalid = "perm must be a permutation of node ids"
+    new_id = _ids(perm, (n,), invalid)
+    if not np.array_equal(np.sort(new_id), np.arange(n)):
+        raise ValidationError(invalid)
+    old_id = np.argsort(new_id)  # the old id of each new id
+    names = tuple(np.array(G.node_names, dtype=object)[old_id].tolist())
+    colors = tuple(np.array(G.node_colors, dtype=np.int64)[old_id].tolist())
+    rel, src, dst = G.edges
+    facts = _canonical_facts(rel, new_id[src], new_id[dst])
     pc = None
     if G.pair_coloring is not None:
-        flat = [0] * (n * n)
-        for u in range(n):
-            for v in range(n):
-                flat[perm[u] * n + perm[v]] = G.pair_coloring.color_of(u, v)
-        pc = PairColoring(n, tuple(flat), G.pair_coloring.labels)
-    return KnowledgeGraph(
-        tuple(names), G.relation_names, facts, tuple(colors), G.color_labels, pc
-    )
+        flat = np.array(G.pair_coloring.colors, dtype=np.int64).reshape(n, n)
+        flat = flat[np.ix_(old_id, old_id)].ravel()
+        pc = PairColoring(n, tuple(flat.tolist()), G.pair_coloring.labels)
+    return KnowledgeGraph(names, G.relation_names, facts, colors, G.color_labels, pc)

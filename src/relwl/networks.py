@@ -1056,7 +1056,7 @@ def spec_to_json_dict(spec: NetworkSpec) -> dict:
     exact = spec.exact
 
     def named(table, exact):
-        return {k: _to_json(v, exact) for k, v in sorted(table.items())} if table else None
+        return None if table is None else {k: _to_json(v, exact) for k, v in sorted(table.items())}
 
     return {
         "kind": spec.kind,
@@ -1083,7 +1083,7 @@ def spec_to_json_dict(spec: NetworkSpec) -> dict:
         "query_vectors": named(spec.query_vectors, exact),
         "pair_table": (
             [[a, b, _to_json(v, exact)] for (a, b), v in sorted(spec.pair_table.items())]
-            if spec.pair_table
+            if spec.pair_table is not None
             else None
         ),
         "node_noise": named(spec.node_noise, False),
@@ -1095,7 +1095,7 @@ def spec_from_json_dict(doc: dict) -> NetworkSpec:
     exact = doc["numeric_mode"] == "exact"
 
     def named(table, exact):
-        return {k: _from_json(v, exact) for k, v in table.items()} if table else None
+        return None if table is None else {k: _from_json(v, exact) for k, v in table.items()}
 
     history = doc["history"]
     return NetworkSpec(
@@ -1121,7 +1121,7 @@ def spec_from_json_dict(doc: dict) -> NetworkSpec:
         query_vectors=named(doc.get("query_vectors"), exact),
         pair_table=(
             {(a, b): _from_json(v, exact) for a, b, v in doc["pair_table"]}
-            if doc.get("pair_table")
+            if doc.get("pair_table") is not None
             else None
         ),
         rng_seed=doc.get("rng_seed", 0),

@@ -1,8 +1,9 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relwl.errors import (
@@ -13,6 +14,8 @@ from relwl.errors import (
     ValidationError,
 )
 from relwl.graphs import (
+    KnowledgeGraph,
+    PairColoring,
     augment,
     canonical_tree_code,
     default_pair_coloring,
@@ -24,6 +27,17 @@ from relwl.graphs import (
 )
 
 from conftest import random_permutation
+from graph_reference import (
+    reference_augment,
+    reference_default_pair_coloring,
+    reference_edges,
+    reference_from_triples,
+    reference_permute_nodes,
+    reference_product_square,
+    reference_tnd,
+    reference_with_node_coloring,
+    reference_with_pair_coloring,
+)
 
 # -- strategies -------------------------------------------------------------
 
@@ -453,3 +467,246 @@ def test_incoming_and_neighborhood_read_the_edge_arrays(g):
         with pytest.raises(ValueError):
             column.flags.writeable = True
     assert g.edges is g.edges  # built once
+
+
+# -- every error path, with its exact message -----------------------------------
+
+
+def _tsv(directory, name, text):
+    path = directory / name
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return path
+
+
+def _ab():
+    """Two nodes, one relation, one fact, the diagonal pair coloring."""
+    g = from_triples([("a", "r", "b")], node_order=("a", "b"))
+    return g.with_pair_coloring(default_pair_coloring(g))
+
+
+def _load_with(kind, text):
+    """Load the one-fact graph ``a r b`` plus a ``kind`` file holding ``text``."""
+
+    def run(directory):
+        triples = _tsv(directory, "g.tsv", "a\tr\tb\n")
+        side = _tsv(directory, f"{kind}.tsv", text)
+        load_graph(triples, **{f"{kind}_file": side})
+
+    return run
+
+
+def _undecodable_then_valid(directory, monkeypatch):
+    # the file changes between the streaming read and the re-read
+    path = _tsv(directory, "g.tsv", b"\xff\tr\tb\n")
+    monkeypatch.setattr(Path, "read_bytes", lambda self: b"a\tr\tb\n")
+    load_graph(path)
+
+
+def _kg(nodes, relations, facts, colors, labels=("default",), pc=None):
+    return lambda: KnowledgeGraph(nodes, relations, facts, colors, labels, pc)
+
+
+# (id, thunk, exception type, exact message); a thunk that takes arguments
+# gets a scratch directory and, if it asks, the monkeypatch fixture.  {dir}
+# in a message stands for that directory.
+ERROR_CASES = [
+    ("pc-not-total", lambda: PairColoring(2, (0, 1, 1), ("a", "b")), ValidationError,
+     "pair coloring must be total: expected 4 entries, got 3"),
+    ("pc-id-high", lambda: PairColoring(2, (0, 1, 1, 2), ("a", "b")), ValidationError,
+     "pair color id 2 out of range"),
+    ("pc-id-negative", lambda: PairColoring(2, (0, -1, 1, 0), ("a", "b")), ValidationError,
+     "pair color id -1 out of range"),
+    ("kg-duplicate-nodes", _kg(("a", "a"), (), (), (0, 0)), ValidationError,
+     "duplicate node names"),
+    ("kg-duplicate-relations", _kg(("a",), ("r", "r"), (), (0,)), ValidationError,
+     "duplicate relation names"),
+    ("kg-colors-partial", _kg(("a", "b"), ("r",), (), (0,)), ValidationError,
+     "node coloring must cover every node"),
+    ("kg-color-high", _kg(("a", "b"), (), (), (0, 1)), ValidationError,
+     "node color id 1 out of range"),
+    ("kg-color-negative", _kg(("a", "b"), (), (), (-1, 0)), ValidationError,
+     "node color id -1 out of range"),
+    ("kg-unsorted", _kg(("a", "b"), ("r",), ((0, 1, 0), (0, 0, 1)), (0, 0)),
+     ValidationError, "facts must be sorted and deduplicated"),
+    ("kg-duplicate-fact", _kg(("a", "b"), ("r",), ((0, 0, 1), (0, 0, 1)), (0, 0)),
+     ValidationError, "facts must be sorted and deduplicated"),
+    ("kg-unsorted-before-range", _kg(("a", "b"), ("r",), ((0, 0, 9), (0, 0, 1)), (0, 0)),
+     ValidationError, "facts must be sorted and deduplicated"),
+    ("kg-target-high", _kg(("a", "b"), ("r",), ((0, 0, 1), (0, 0, 2)), (0, 0)),
+     ValidationError, "fact (0,0,2) references unknown ids"),
+    ("kg-first-bad-fact", _kg(("a", "b"), ("r",), ((0, 0, 5), (0, 1, 7)), (0, 0)),
+     ValidationError, "fact (0,0,5) references unknown ids"),
+    ("kg-relation-high", _kg(("a", "b"), ("r",), ((0, 0, 1), (1, 0, 0)), (0, 0)),
+     ValidationError, "fact (1,0,0) references unknown ids"),
+    ("kg-source-negative", _kg(("a", "b"), ("r",), ((0, -1, 0),), (0, 0)),
+     ValidationError, "fact (0,-1,0) references unknown ids"),
+    ("kg-id-past-int64", _kg(("a", "b"), ("r",), ((0, 0, 1), (0, 0, 2**63)), (0, 0)),
+     ValidationError, f"fact (0,0,{2**63}) references unknown ids"),
+    ("kg-float-id", _kg(("a", "b"), ("r",), ((0, 0, 0.5),), (0, 0)), ValidationError,
+     "facts must be (relation, source, target) triples of integer ids"),
+    ("kg-integral-float-id", _kg(("a", "b"), ("r",), ((0, 0, 1.0),), (0, 0)),
+     ValidationError, "facts must be (relation, source, target) triples of integer ids"),
+    ("kg-string-ids", _kg(("a", "b"), ("r",), (("r", "a", "b"),), (0, 0)),
+     ValidationError, "facts must be (relation, source, target) triples of integer ids"),
+    ("kg-pair-fact", _kg(("a", "b"), ("r",), ((0, 1),), (0, 0)), ValidationError,
+     "facts must be (relation, source, target) triples of integer ids"),
+    ("kg-ragged-facts", _kg(("a", "b"), ("r",), ((0, 0, 1), (0, 1)), (0, 0)),
+     ValidationError, "facts must be (relation, source, target) triples of integer ids"),
+    ("kg-empty-fact", _kg(("a", "b"), ("r",), ((),), (0, 0)), ValidationError,
+     "facts must be (relation, source, target) triples of integer ids"),
+    ("kg-float-color", _kg(("a", "b"), (), (), (0, 1.0), ("x", "y")), ValidationError,
+     "node color ids must be integers"),
+    ("kg-nested-color", _kg(("a", "b"), (), (), (0, (1,)), ("x", "y")), ValidationError,
+     "node color ids must be integers"),
+    ("pc-float-id", lambda: PairColoring(2, (0, 1, 1, 0.5), ("x", "y")), ValidationError,
+     "pair color ids must be integers"),
+    ("perm-floats", lambda: permute_nodes(_ab(), (1.0, 0.0)), ValidationError,
+     "perm must be a permutation of node ids"),
+    ("kg-pc-size",
+     _kg(("a",), (), (), (0,), pc=PairColoring(2, (0, 1, 1, 0), ("eq", "neq"))),
+     ValidationError, "pair coloring sized for a different graph"),
+    ("node-id", lambda: _ab().node_id("zz"), UnknownEntityError, "unknown node 'zz'"),
+    ("relation-id", lambda: _ab().relation_id("zz"), UnknownEntityError,
+     "unknown relation 'zz'"),
+    ("node-id-high", lambda: _ab().incoming(2), UnknownEntityError,
+     "node id 2 out of range"),
+    ("node-id-negative", lambda: _ab().color_label_of(-1), UnknownEntityError,
+     "node id -1 out of range"),
+    ("relation-id-high", lambda: _ab().neighborhood(0, 1), UnknownEntityError,
+     "relation id 1 out of range"),
+    ("recolor-unknown", lambda: _ab().with_node_coloring({"zz": "red"}), ValidationError,
+     "color assignment for unknown node 'zz'"),
+    ("tsv-fields", lambda d: load_graph(_tsv(d, "g.tsv", "a\tr\tb\nbroken line\n")),
+     TripleFileError,
+     "{dir}/g.tsv:2: expected 3 non-empty tab-separated fields, got ['broken line']"),
+    ("tsv-utf8", lambda d: load_graph(_tsv(d, "g.tsv", b"a\tr\tb\n\xff\tr\tb\n")),
+     TripleFileError, "{dir}/g.tsv:2: not valid UTF-8 (invalid start byte)"),
+    ("tsv-utf8-changed", _undecodable_then_valid, UnicodeDecodeError,
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("colors-unknown-node", _load_with("colors", "zz\tred\n"), ValidationError,
+     "{dir}/colors.tsv:1: color for unknown node 'zz'"),
+    ("colors-conflict", _load_with("colors", "a\tred\na\tblue\n"), ValidationError,
+     "{dir}/colors.tsv:2: conflicting colors for node 'a'"),
+    ("pairs-unknown-node", _load_with("pair_colors", "a\tzz\teq\n"), ValidationError,
+     "{dir}/pair_colors.tsv:1: unknown node 'zz'"),
+    ("pairs-conflict", _load_with("pair_colors", "a\tb\tx\na\tb\ty\n"), ValidationError,
+     "{dir}/pair_colors.tsv:2: conflicting colors for pair ('a', 'b')"),
+    ("pairs-partial", _load_with("pair_colors", "a\ta\teq\na\tb\tneq\nb\ta\tneq\n"),
+     ValidationError, "{dir}/pair_colors.tsv: pair coloring must cover all 4 ordered "
+     "pairs, got 3"),
+    ("pc-mode", lambda: default_pair_coloring(_ab(), "nope"), ValidationError,
+     "unknown pair coloring mode 'nope'"),
+    ("square-without-pc", lambda: product_square(from_triples([("a", "r", "b")])),
+     PreconditionError, "product_square needs a pair coloring; attach one first "
+     "(see default_pair_coloring)"),
+    ("unravel-depth", lambda: unravel(_ab(), "b", -1), ValidationError,
+     "depth must be >= 0"),
+    ("unravel-budget",
+     lambda: unravel(from_triples([("a", "r", "b"), ("b", "r", "a")]), "a", 50, 10),
+     NodeBudgetError, "unravelling exceeded the node budget of 10"),
+    ("perm-repeat", lambda: permute_nodes(_ab(), (0, 0)), ValidationError,
+     "perm must be a permutation of node ids"),
+    ("perm-short", lambda: permute_nodes(_ab(), (0,)), ValidationError,
+     "perm must be a permutation of node ids"),
+]
+
+
+@pytest.mark.parametrize(
+    "thunk, exc, message",
+    [case[1:] for case in ERROR_CASES],
+    ids=[case[0] for case in ERROR_CASES],
+)
+def test_every_graph_error_is_reached(thunk, exc, message, tmp_path, monkeypatch):
+    args = (tmp_path, monkeypatch)[: thunk.__code__.co_argcount]
+    with pytest.raises(exc) as caught:
+        thunk(*args)
+    assert type(caught.value) is exc
+    assert str(caught.value) == message.format(dir=tmp_path)
+
+
+# -- derived graphs against the Python reference -------------------------------
+
+NAME = st.text(alphabet="ab,()", min_size=1, max_size=3)
+
+
+@st.composite
+def named_graphs(draw):
+    """A graph of 0-8 nodes whose names may hold ``,()``, with self-loops,
+    isolated nodes, colors and a pair coloring, plus a permutation."""
+    nodes = draw(st.lists(NAME, unique=True, max_size=8))
+    relations = draw(st.lists(NAME, unique=True, min_size=1, max_size=3))
+    triples = draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(relations),
+                           st.sampled_from(nodes)), max_size=20)
+        if nodes else st.just([])
+    )
+    node_order = nodes[: draw(st.integers(0, len(nodes)))]
+    # a node missing from both the triples and node_order is not in the graph
+    node_order += [v for v in nodes if v not in node_order and draw(st.booleans())]
+    relation_order = relations[: draw(st.integers(0, len(relations)))]
+    labels = {v: draw(st.sampled_from(["x", "y", "default"]))
+              for v in nodes if draw(st.booleans())}
+    perm = draw(st.permutations(range(len(nodes))))
+    colors = draw(st.lists(st.integers(0, 2), min_size=len(nodes) ** 2,
+                           max_size=len(nodes) ** 2))
+    return triples, node_order, relation_order, labels, perm, colors
+
+
+def _assert_same_graph(actual, expected):
+    assert actual == expected and hash(actual) == hash(expected)
+    assert all(type(x) is int for fact in actual.facts for x in fact)
+    assert all(type(c) is int for c in actual.node_colors)
+    for column, reference in zip(actual.edges, reference_edges(expected)):
+        assert column.dtype == np.int64 and not column.flags.writeable
+        assert np.array_equal(column, reference)
+    pc = actual.pair_coloring
+    if pc is not None:
+        assert all(type(c) is int for c in pc.colors)
+        assert pc.tnd_flag == reference_tnd(pc.n, pc.colors)
+
+
+COLLIDING = (
+    [("a", "r", "a,a"), ("a,a", "r", "a,a")], ["a", "a,a", "(a"], ["r"],
+    {"a": "x"}, [2, 0, 1], [0, 1, 2, 1, 0, 2, 2, 1, 0],
+)
+
+
+@given(named_graphs())
+@example(COLLIDING)
+@settings(max_examples=150, deadline=None)
+def test_derived_graphs_equal_the_reference(case):
+    triples, node_order, relation_order, labels, perm, colors = case
+    g = from_triples(triples, node_order, relation_order)
+    _assert_same_graph(g, reference_from_triples(triples, node_order, relation_order))
+    labels = {v: c for v, c in labels.items() if v in g._node_index}
+    perm = tuple(p for p in perm if p < g.n)  # g may have fewer nodes
+    colored = g.with_node_coloring(labels)
+    _assert_same_graph(colored, reference_with_node_coloring(g, labels))
+    for mode in ("diagonal", "colored-diagonal"):
+        pc = default_pair_coloring(colored, mode)
+        assert pc == reference_default_pair_coloring(colored, mode) and pc.tnd_flag
+        square = product_square(colored.with_pair_coloring(pc))
+        _assert_same_graph(square, reference_product_square(colored.with_pair_coloring(pc)))
+    pc = PairColoring(g.n, tuple(colors[: g.n * g.n]), ("p", "q", "s"))
+    full = colored.with_pair_coloring(pc)
+    _assert_same_graph(full, reference_with_pair_coloring(colored, pc))
+    _assert_same_graph(augment(full), reference_augment(full))
+    _assert_same_graph(product_square(full), reference_product_square(full))
+    _assert_same_graph(permute_nodes(full, perm), reference_permute_nodes(full, perm))
+    _assert_same_graph(permute_nodes(colored, perm), reference_permute_nodes(colored, perm))
+    square_names = product_square(full).node_names
+    if len({f"({a},{b})" for a in g.node_names for b in g.node_names}) < g.n * g.n:
+        assert square_names[0] == repr((g.node_names[0], g.node_names[0]))
+
+
+@given(small_graphs(n_max=6, r_max=3))
+@settings(max_examples=30, deadline=None)
+def test_has_fact_reads_the_edge_arrays(g):
+    facts = set(g.facts)
+    for r in range(len(g.relation_names)):
+        for s in range(g.n):
+            for t in range(g.n):
+                assert g.has_fact(r, s, t) == ((r, s, t) in facts)
+                assert g.has_fact(
+                    g.relation_names[r], g.node_names[s], g.node_names[t]
+                ) == ((r, s, t) in facts)

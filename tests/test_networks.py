@@ -730,8 +730,8 @@ def _specs(draw):
         return st.lists(vec(cols), min_size=rows, max_size=rows).map(tuple)
 
     def named(keys, values, required=False):
-        table = draw(st.dictionaries(st.sampled_from(keys), values, min_size=int(required)))
-        return table or None
+        tables = st.dictionaries(st.sampled_from(keys), values, min_size=int(required))
+        return draw(tables if required else st.none() | tables)
 
     cols = d * (1 + PNA_WIDTH) if psi == "pna" else d
     param = {"theta1": mat(d, d), "theta2": vec(d), "theta3": mat(d, d), "scaling": num}[theta]
