@@ -1,15 +1,14 @@
 """Forward evaluation of relational and conditional message passing networks.
 
 Two numeric modes share one recurrence: ``float64`` runs on numpy, and
-``exact`` runs on :mod:`fractions` rationals so that equality claims can be
-checked without tolerances.  A :class:`NetworkSpec` pins every choice in
-the design space: initialization of the conditional pair features
-(``delta0`` .. ``delta4`` or an explicit pair table), per-relation message
-functions (``theta1``: gate by a relation-transformed query vector,
-``theta2``: gate by a relation vector, ``theta3``: relation matrix,
-``scaling``: relation scalar), aggregation (``sum`` or ``pna``), activation,
-update shape, and the history function selecting which past layer the
-update reads.
+``exact`` runs on integers so that equality claims can be checked without
+tolerances.  A :class:`NetworkSpec` pins every choice in the design space:
+initialization of the conditional pair features (``delta0`` .. ``delta4``
+or an explicit pair table), per-relation message functions (``theta1``:
+gate by a relation-transformed query vector, ``theta2``: gate by a
+relation vector, ``theta3``: relation matrix, ``scaling``: relation
+scalar), aggregation (``sum`` or ``pna``), activation, update shape, and
+the history function selecting which past layer the update reads.
 
 Two update shapes occur in practice and both are supported:
 
@@ -26,8 +25,19 @@ an elementwise product), sums the messages into their targets with one
 in-order ``np.add.at`` and applies one stacked ``W @ x``, the bias and the
 activation.  Stacked matrix-vector products and the in-order sum round
 exactly as one ``W @ x`` per node and a running sum per target do, so float
-features do not depend on the batch.  Exact mode runs the same code on
-``dtype=object`` arrays of ``Fraction``.
+features do not depend on the batch.
+
+Exact mode holds a layer as integer numerators (``dtype=object`` arrays of
+Python ints) over one positive denominator, in lowest terms: the
+denominator is the lcm of the entries' reduced denominators.  So equal
+rationals of one layer have equal numerators.  Parameters are scaled to
+integers once per layer: every relation message over one common
+denominator, so that ``np.add.at`` sums numerators, and each row of ``W``
+over its own.  Sums of terms are brought to the lcm of their denominators.
+The activations read numerators only: sign and relu compare them with 0,
+truncated relu with the denominator.  No ``Fraction`` arithmetic runs in
+the forward; :meth:`FeatureTable.vector` builds ``Fraction`` entries on
+request.
 
 The constructive builders return exact-rational networks whose per-layer
 feature partitions provably coincide with the corresponding color
@@ -43,6 +53,7 @@ multiplied.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -349,8 +360,11 @@ class FeatureTable:
 
     ``layers[t]`` is an array of shape (n, d_t) for arity 1.  For arity 2
     it has shape (len(sources), n, d_t), and row ``[i, v]`` is the feature
-    of the pair ``(sources[i], v)``.  Exact tables hold ``Fraction``
-    objects (``dtype=object``), float tables ``float64``.
+    of the pair ``(sources[i], v)``.  Float tables hold ``float64``.  Exact
+    tables hold integer numerators (``dtype=object``) over one positive
+    denominator per layer, ``denominators[t]``, in lowest terms, so equal
+    features of one layer have equal numerators; :meth:`vector` returns
+    them as ``Fraction`` entries.
     """
 
     arity: int
@@ -358,11 +372,14 @@ class FeatureTable:
     layers: tuple[np.ndarray, ...]
     exact: bool
     sources: tuple[int, ...] = ()
+    denominators: tuple[int, ...] = ()
     _row: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.layers) != len(self.dims):
             raise ValidationError("one layer array per recorded dimension")
+        if self.exact and len(self.denominators) != len(self.layers):
+            raise ValidationError("one denominator per exact layer")
         for t, layer in enumerate(self.layers):
             if layer.shape[-1] != self.dims[t]:
                 raise ValidationError(
@@ -398,7 +415,14 @@ class FeatureTable:
                 row = layer[self._row[u], v]
         except (IndexError, KeyError):
             raise UnknownEntityError(f"no features for key {key!r}") from None
-        return tuple(row.tolist()) if self.exact else row
+        return self._value(t, row)
+
+    def _value(self, t: int, row: np.ndarray):
+        """A feature row of layer t: itself, or its ``Fraction`` entries."""
+        if not self.exact:
+            return row
+        den = self.denominators[t]
+        return tuple(Fraction(x, den) for x in row.tolist())
 
     def _rows(self, t: int) -> np.ndarray:
         """Layer t as one row per key, in :meth:`keys` order."""
@@ -406,7 +430,8 @@ class FeatureTable:
         return layer.reshape(-1, layer.shape[-1])
 
     def assignment(self, t: int) -> dict:
-        """Hashable per-key view of layer t, suitable for partition checks."""
+        """Hashable per-key view of layer t, suitable for partition checks:
+        the bytes of a float row, the numerators of an exact one."""
         rows = self._rows(t)
         if self.exact:
             values = map(tuple, rows.tolist())
@@ -427,7 +452,10 @@ class FeatureTable:
             rows = self._rows(t)
             layers.append(
                 [
-                    {"key": name(keys[i]), "value": _to_json(rows[i], self.exact)}
+                    {
+                        "key": name(keys[i]),
+                        "value": _to_json(self._value(t, rows[i]), self.exact),
+                    }
                     for i in order
                 ]
             )
@@ -450,7 +478,8 @@ def _matrix(value, exact: bool) -> np.ndarray:
 
 
 def _zeros(shape: tuple[int, ...], exact: bool) -> np.ndarray:
-    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+    """Float zeros, or Python int zeros (exact numerators)."""
+    return np.zeros(shape, dtype=object if exact else float)
 
 
 def _feature_array(rows, dim: int, exact: bool) -> np.ndarray:
@@ -472,22 +501,77 @@ def _feature_array(rows, dim: int, exact: bool) -> np.ndarray:
 
 
 def _sigma(kind: str, pre: np.ndarray, assert_nonzero: bool) -> np.ndarray:
-    """The activation, elementwise on float64 or ``Fraction`` arrays."""
-    exact = pre.dtype == object
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    """The activation, elementwise on float64 arrays."""
     if kind == "sign":
         if assert_nonzero and np.any(pre == 0):
             raise ValidationError("constructive network hit a zero pre-activation")
-        return np.where(pre > 0, one, -one)  # sign(0) := -1 keeps the function total
+        return np.where(pre > 0, 1.0, -1.0)  # sign(0) := -1 keeps the function total
     if kind == "relu":
-        return np.maximum(pre, zero)
+        return np.maximum(pre, 0.0)
     if kind == "truncated-relu":
-        return np.minimum(np.maximum(pre, zero), one)
+        return np.minimum(np.maximum(pre, 0.0), 1.0)
     return pre
 
 
+# -- exact mode: integer numerators over positive denominators ------------------
+
+
+def _numerators(values: np.ndarray, den: int) -> np.ndarray:
+    """An array of rationals (``Fraction`` or int) times ``den``, a common
+    multiple of their denominators, as an array of Python ints."""
+    out = [x.numerator * (den // x.denominator) for x in values.flat]
+    return np.array(out, dtype=object).reshape(values.shape)
+
+
+def _exact(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """An array of rationals as numerators over one denominator, the lcm of
+    theirs; for reduced ``Fraction`` entries that is lowest terms."""
+    den = math.lcm(*(x.denominator for x in values.flat))
+    return _numerators(values, den), den
+
+
+def _exact_sum(*terms):
+    """Sum of (numerators, denominators) terms over the lcm of their
+    denominators; a denominator is one positive int, or one per column
+    (the last axis)."""
+    den = functools.reduce(np.lcm, [np.asarray(d, dtype=object) for _, d in terms])
+    scaled = [num * (den // d) for num, d in terms]
+    return sum(scaled[1:], scaled[0]), den
+
+
+def _lowest_terms(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, int]:
+    """``num`` over the column denominators ``den`` as numerators over one
+    denominator in lowest terms: each column is divided by its gcd, then
+    all are brought to the lcm of the reduced column denominators."""
+    g = np.gcd(np.gcd.reduce(num.reshape(-1, num.shape[-1]), axis=0), den)
+    reduced = den // g
+    common = math.lcm(*reduced.tolist())
+    return num // g * (common // reduced), common
+
+
+def _exact_sigma(kind: str, pre: np.ndarray, den: np.ndarray, assert_nonzero: bool):
+    """The activation of the integer pre-activations ``pre`` over the
+    positive column denominators ``den``, as (numerators, denominator) in
+    lowest terms.  Sign and relu read only the signs of the numerators,
+    truncated relu compares them with the denominators."""
+    if kind == "sign":
+        if assert_nonzero and np.any(pre == 0):
+            raise ValidationError("constructive network hit a zero pre-activation")
+        return np.where(pre > 0, 1, -1).astype(object), 1  # sign(0) := -1
+    if kind == "relu":
+        pre = np.maximum(pre, 0)
+    elif kind == "truncated-relu":
+        pre = np.minimum(np.maximum(pre, 0), den)
+    return _lowest_terms(pre, den)
+
+
 class _Layer:
-    """One layer's parameters as arrays, resolved against a concrete graph."""
+    """One layer's parameters as arrays, resolved against a concrete graph.
+
+    In exact mode the parameters are integers, scaled once here: ``W`` over
+    one denominator per row (``W_den``), the bias over one per entry, and
+    every relation's message parameter over one common ``message_den``.
+    """
 
     def __init__(self, spec: NetworkSpec, G: KnowledgeGraph, t: int, query: str | None):
         exact = spec.exact
@@ -515,6 +599,21 @@ class _Layer:
                 self.messages.append((rel, True, _matrix(value, exact)))
             else:
                 self.messages.append((rel, False, Fraction(value) if exact else float(value)))
+        if exact:
+            rows = [_exact(row) for row in self.W]
+            self.W = np.array([num for num, _ in rows], dtype=object).reshape(self.W.shape)
+            self.W_den = np.array([den for _, den in rows], dtype=object)
+            if self.bias is not None:
+                self.bias = (
+                    np.array([x.numerator for x in self.bias], dtype=object),
+                    np.array([x.denominator for x in self.bias], dtype=object),
+                )
+            params = [np.asarray(param, dtype=object) for _, _, param in self.messages]
+            self.message_den = math.lcm(*(x.denominator for p in params for x in p.flat))
+            self.messages = [
+                (rel, matmul, _numerators(param, self.message_den))
+                for (rel, matmul, _), param in zip(self.messages, params)
+            ]
 
     def message_array(self, H: np.ndarray, rel: np.ndarray, src: np.ndarray) -> np.ndarray:
         """Messages of the edges ``(rel, src)``, in edge order: one gather
@@ -527,6 +626,37 @@ class _Layer:
             h = H[src[pos]]
             out[pos] = (param @ h[..., None])[..., 0] if matmul else h * param
         return out
+
+    def exact_update(self, spec: NetworkSpec, own: tuple, agg: tuple) -> tuple[np.ndarray, int]:
+        """sigma(W (own + agg) + bias) or sigma(W own + agg + bias) on
+        (numerators, denominator) pairs.  ``W x`` has one denominator per
+        row of ``W``, so the pre-activation has one per column until the
+        activation."""
+        if spec.update_kind == "combine":
+            x, den = _exact_sum(own, agg)
+        else:
+            x, den = own
+        terms = [(x @ self.W.T, self.W_den * den)]
+        if spec.update_kind == "separate":
+            terms.append(agg)
+        if self.bias is not None:
+            terms.append(self.bias)
+        pre, den = _exact_sum(*terms)
+        return _exact_sigma(spec.sigma_kind, pre, den, spec.assert_nonzero_preactivation)
+
+    def float_update(self, spec: NetworkSpec, own: np.ndarray, agg: np.ndarray) -> np.ndarray:
+        """sigma(W (own + agg) + bias), sigma(W [own, agg] + bias) for pna,
+        or sigma(W own + agg + bias), on float64 arrays."""
+        if spec.psi_kind == "pna":
+            x = np.concatenate([own, agg], axis=-1)
+        else:
+            x = own + agg if spec.update_kind == "combine" else own
+        pre = (self.W @ x[..., None])[..., 0]
+        if spec.update_kind == "separate":
+            pre = pre + agg
+        if self.bias is not None:
+            pre = pre + self.bias
+        return _sigma(spec.sigma_kind, pre, spec.assert_nonzero_preactivation)
 
 
 def _pna_aggregate(
@@ -578,40 +708,46 @@ def _run_layers(
     spec: NetworkSpec,
     init: np.ndarray,
     query: str | None,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], tuple[int, ...]]:
     """Features of layers 0..T, each of shape (n, B, d_t) for B sources
-    run side by side (B = 1 for a single run).
+    run side by side (B = 1 for a single run), and in exact mode the
+    layers' denominators (else none).
 
     A layer gathers the sources of the facts, applies one message op per
     relation, sums the messages into their targets in edge order (as a
     running sum per target would), and applies one stacked ``W @ x``, the
-    bias and the activation.  Exact mode runs the same code on object
-    arrays of ``Fraction``.
+    bias and the activation.  Exact mode runs the gather, the messages and
+    the sum on integer numerators: ``init`` is brought to one denominator,
+    and a layer's messages share ``message_den`` times the denominator of
+    the layer they read.
     """
     n = G.n
     rel, src, dst = G.edges
     pna = spec.psi_kind == "pna"
     log_mean_degree = _log_mean_degree(dst, n) if pna else 0.0
-    features = [init]
+    features, dens = [init], []
+    if spec.exact:
+        features[0], den = _exact(init)
+        dens.append(den)
     for t in range(spec.num_layers):
         layer = _Layer(spec, G, t, query)
-        own = features[spec.history(t)]
+        h = spec.history(t)
         keep = np.isin(rel, [r for r, _, _ in layer.messages])
         M = layer.message_array(features[t], rel[keep], src[keep])
         if pna:
-            x = np.concatenate([own, _pna_aggregate(M, dst[keep], n, log_mean_degree)], axis=-1)
+            agg = _pna_aggregate(M, dst[keep], n, log_mean_degree)
         else:
             agg = _zeros((n, init.shape[1], layer.width), spec.exact)
             np.add.at(agg, dst[keep], M)
-            x = own + agg if spec.update_kind == "combine" else own
         del M  # free the per-edge messages before the next allocations
-        pre = (layer.W @ x[..., None])[..., 0]
-        if spec.update_kind == "separate":
-            pre = pre + agg
-        if layer.bias is not None:
-            pre = pre + layer.bias
-        features.append(_sigma(spec.sigma_kind, pre, spec.assert_nonzero_preactivation))
-    return features
+        if spec.exact:
+            own, messages = (features[h], dens[h]), (agg, layer.message_den * dens[t])
+            H, den = layer.exact_update(spec, own, messages)
+            dens.append(den)
+        else:
+            H = layer.float_update(spec, features[h], agg)
+        features.append(H)
+    return features, tuple(dens)
 
 
 def _lookup(table: Mapping, key: str, what: str):
@@ -638,8 +774,9 @@ def rmpnn_forward(G: KnowledgeGraph, spec: NetworkSpec, x) -> FeatureTable:
     elif len(x) != G.n:
         raise ValidationError("initial features must cover every node")
     init = _feature_array(x, spec.dims[0], spec.exact)[:, None, :]
-    features = _run_layers(G, spec, init, query=None)
-    return FeatureTable(1, spec.dims, tuple(f[:, 0, :] for f in features), spec.exact)
+    features, dens = _run_layers(G, spec, init, query=None)
+    layers = tuple(f[:, 0, :] for f in features)
+    return FeatureTable(1, spec.dims, layers, spec.exact, denominators=dens)
 
 
 def _delta_init(
@@ -690,9 +827,9 @@ def _cmpnn(
         sources = np.arange(G.n)
     else:
         sources = np.array([G._resolve_node(source)])
-    features = _run_layers(G, spec, _delta_init(G, spec, query, sources), query)
+    features, dens = _run_layers(G, spec, _delta_init(G, spec, query, sources), query)
     layers = tuple(f.transpose(1, 0, 2) for f in features)
-    return FeatureTable(2, spec.dims, layers, spec.exact, tuple(sources.tolist()))
+    return FeatureTable(2, spec.dims, layers, spec.exact, tuple(sources.tolist()), dens)
 
 
 def cmpnn_forward(

@@ -2,10 +2,12 @@
 
 Vectors are tuples of :class:`fractions.Fraction`, matrices are tuples of
 row tuples.  The exact forward of :mod:`relwl.networks` coerces weights,
-biases and relation parameters with :func:`mat` / :func:`vec` and then
-runs the same array code as float mode, on ``dtype=object`` arrays of
-these fractions; the constructive builders need no matrix algebra (their
-weights have closed forms).
+biases and relation parameters with :func:`mat` / :func:`vec`, then scales
+them to integers once per layer and runs on integer numerators; the
+constructive builders need no matrix algebra (their weights have closed
+forms).  :func:`vec` and :func:`mat` could move into :mod:`relwl.networks`;
+the module stays because the benchmark's tracer (``perfbench/spans.py``)
+looks it up by name.
 """
 
 from __future__ import annotations

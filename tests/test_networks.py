@@ -259,6 +259,44 @@ def test_tnd_flags():
     assert zeroed.target_node_distinguishable is False
 
 
+# pair tables on the nodes a, b, keyed (source, target), and their flags:
+# TND asks that each source's diagonal row differs from its other rows
+PAIR_TABLE_TND = {
+    "distinct diagonal rows": (((1, 0), (0, 0), (0, 0), (0, 1)), True),
+    "equal diagonal rows": (((1, 1), (0, 0), (0, 0), (1, 1)), True),
+    "diagonal row equal to an off-diagonal one": (((1, 0), (1, 0), (0, 0), (0, 1)), False),
+    "diagonal row equal to another source's row": (((1, 0), (0, 0), (1, 0), (0, 1)), True),
+    "Fraction against an equal float": (
+        ((Fraction(1, 2), 0), (0.5, 0.0), (0, 0), (0, 1)),
+        False,
+    ),
+    "Fraction against a near float": (((Fraction(1, 3), 0), (0.3333, 0), (0, 0), (0, 1)), True),
+}
+
+
+@pytest.mark.parametrize("rows, flag", PAIR_TABLE_TND.values(), ids=PAIR_TABLE_TND.keys())
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_tnd_flag_of_pair_table_specs(rows, flag, mode):
+    g = from_triples([("a", "r", "b")], node_order=("a", "b"))
+    keys = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    spec = NetworkSpec(
+        kind="cmpnn",
+        num_layers=1,
+        dims=(2, 2),
+        weights=(((1, 0), (0, 1)),),
+        biases=(None,),
+        relation_params=({},),
+        theta_kind="scaling",
+        numeric_mode=mode,
+        delta_kind="pair-table",
+        pair_table=dict(zip(keys, rows)),
+    )
+    assert spec.target_node_distinguishable is flag
+    # the flag says whether the initial features separate (u, u) from (u, v)
+    layer0 = cmpnn_pair_table(g, spec, "r").assignment(0)
+    assert all(layer0[u, u] != layer0[u, 1 - u] for u in range(2)) is flag
+
+
 def test_basic_model_cannot_split_what_refinement_cannot(graph_a):
     # exact evaluation: the two pairs stay equal through two layers
     rng = random.Random(11)
