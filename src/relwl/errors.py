@@ -28,8 +28,8 @@ class NodeBudgetError(RelwlError):
     """A construction would exceed the configured node budget.
 
     Raised by unravelling trees beyond the budget's node count, and by
-    arity-2 refinement tests whose index graph over all node pairs has more
-    nodes plus edges than the budget.
+    arity-2 refinement tests whose node pairs plus the codes of one round
+    (one per pair row and fact, twice for ``rwl2``) exceed the budget.
     """
 
 

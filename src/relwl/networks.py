@@ -211,6 +211,8 @@ class NetworkSpec:
             raise ValidationError(f"unknown numeric mode {self.numeric_mode!r}")
         if len(self.dims) != self.num_layers + 1:
             raise ValidationError("dims must list d(0)..d(T)")
+        if any(d < 1 for d in self.dims):
+            raise ValidationError(f"dims must be positive widths, got {self.dims}")
         for name, seq in (
             ("weights", self.weights),
             ("biases", self.biases),

@@ -1,26 +1,28 @@
 """Color refinement over knowledge graphs, for nodes and for node pairs.
 
-All five tests are one refinement, ``rwl1``, run by one numpy kernel over
-an *index graph* held as int arrays ``src`` / ``dst`` / ``rel``:
+All five tests run one numpy kernel over the int arrays ``src`` / ``dst``
+/ ``rel`` of a graph's edges.  It refines a table of B rows of n colors;
+index ``v`` of row ``u`` is refined from the row's colors at ``w`` over
+the facts ``r(w, v)``:
 
 * ``rwl1`` refines the nodes of G by the multiset of (incoming neighbor
-  color, relation) pairs;
+  color, relation) pairs: one row;
 * ``rawl2`` refines ordered pairs ``(u, v)`` by moving the second
-  coordinate along incoming facts, i.e. it is ``rwl1`` on the pair graph
-  with an edge ``(a, w) -> (a, v)`` tagged ``r`` for each fact ``r(w, v)``
-  (node ``(a, v)`` has index ``a * n + v``);
-* ``rwl2`` additionally moves the first coordinate: its index graph adds
-  ``(w, b) -> (v, b)`` tagged ``r + m``, so the tag records which
-  coordinate moved and the one multiset keeps the two sides apart;
-* the ``+`` variants build the same graphs from ``augment(G)``, the graph
-  with inverse relations.
+  coordinate along incoming facts: row ``u`` holds the pairs ``(u, .)``,
+  and pair ``(u, v)`` has index ``u * n + v``;
+* ``rwl2`` also moves the first coordinate: a second pass over the
+  transposed table reads the first pass's ids as its own colors.  Its ids
+  are injective in (own color, both multisets), so its partitions are
+  those of refining by all three at once;
+* the ``+`` variants run over ``augment(G)``, the graph with inverse
+  relations.
 
-Each round sorts the edges by (target, code) with ``code = color[src] * m
-+ rel``, lays each node out as the row ``(own color, sorted codes...)``
-padded with ``-1``, and ranks the distinct rows lexicographically into
-dense ids.  No hashing is involved, so partitions are exact.  The ``-1``
-padding orders a row before every row it is a proper prefix of, so for
-``rwl1`` and ``rawl2(+)`` the ids are those of sorting the signatures
+Each pass sorts each row's codes ``color[src] * m + rel`` by (target,
+code), lays each index out as ``(own color, sorted codes...)`` padded with
+``-1``, and ranks the distinct rows of the whole table lexicographically
+into dense ids.  No hashing is involved, so partitions are exact.  The
+``-1`` padding orders a row before every row it is a proper prefix of, so
+for ``rwl1`` and ``rawl2(+)`` the ids are those of sorting the signatures
 ``(own, sorted((color, rel)))`` as Python tuples.  Colorings are
 nevertheless meaningful only as partitions and only within one trace.
 
@@ -215,32 +217,6 @@ def equivalent(a, b) -> bool:
     return refines(a, b) and refines(b, a)
 
 
-def _index_graph(base: str, H: KnowledgeGraph):
-    """The graph whose ``rwl1`` refinement is test ``base`` on H's facts.
-
-    Returns ``(src, dst, rel, relation count)``; pair ``(a, b)`` is node
-    ``a * n + b``.
-    """
-    rel, src, dst = H.edges
-    n, m = H.n, len(H.relation_names)
-    if base == "rwl1":
-        return src, dst, rel, m
-    rows = np.arange(n, dtype=np.int64)[:, None] * n
-    # (a, w) -> (a, v) for every r(w, v): the second coordinate moves
-    s2, d2, r2 = (rows + src).ravel(), (rows + dst).ravel(), np.tile(rel, n)
-    if base == "rawl2":
-        return s2, d2, r2, m
-    # (w, b) -> (v, b), tagged r + m: the first coordinate moves
-    cols = np.arange(n, dtype=np.int64)[:, None]
-    s1, d1, r1 = (src * n + cols).ravel(), (dst * n + cols).ravel(), np.tile(rel + m, n)
-    return (
-        np.concatenate((s1, s2)),
-        np.concatenate((d1, d2)),
-        np.concatenate((r1, r2)),
-        2 * m,
-    )
-
-
 def _dense(keys: np.ndarray) -> np.ndarray:
     """Dense ids of ``keys`` in ascending order of value."""
     order = np.argsort(keys)
@@ -251,14 +227,14 @@ def _dense(keys: np.ndarray) -> np.ndarray:
 
 
 class _RowLayout:
-    """Where each row of a ranking lives in a flat value array.
+    """Where each row of a ranking lives along the last axis of the values.
 
-    Row ``i`` is ``values[starts[i]:starts[i] + lengths[i]]``.  The rows are
-    laid out as a matrix of indices into the values, padded with the index
-    of a trailing ``-1`` sentinel.  When a few rows are much longer than the
-    rest, the width is cut to twice the mean length and the longer rows'
-    tails get a layout of their own, ranked into one more column, so the
-    matrix stays within about twice the input size.
+    Row ``i`` is ``values[..., starts[i]:starts[i] + lengths[i]]``.  The rows
+    are laid out as a matrix of indices into the values, padded with the
+    index of a trailing ``-1`` sentinel.  When a few rows are much longer
+    than the rest, the width is cut to twice the mean length and the longer
+    rows' tails get a layout of their own, ranked into one more column, so
+    the matrix stays within about twice the input size.
     """
 
     def __init__(self, starts: np.ndarray, lengths: np.ndarray, sentinel: int):
@@ -279,22 +255,24 @@ class _RowLayout:
         )
 
     def rank(self, values: np.ndarray) -> np.ndarray:
-        """Dense ids of the rows in lexicographic order, a proper prefix
-        first (as Python orders tuples); ``values`` are non-negative but for
-        the sentinel.
+        """Dense ids of the rows, over all leading indices of ``values``, in
+        lexicographic order, a proper prefix first (as Python orders tuples);
+        ``values`` are non-negative but for the sentinel.
 
         Each row is read as a number in base ``radix`` whose digits are its
         entries plus one (0 for padding).  Blocks of digits are folded into
         int64 keys, and the keys are renumbered densely before each further
         block, so no key overflows.
         """
-        digits = values[self.gather]
+        digits = values.take(self.gather, axis=-1)
         digits += 1
-        count = len(digits)
         if self.tails is not None:
-            digits[self.long, -1] = self.tails.rank(values) + 1
+            digits[..., self.long, -1] = self.tails.rank(values) + 1
+        shape = digits.shape[:-1]
         if digits.size == 0:
-            return np.zeros(count, dtype=np.int64)
+            return np.zeros(shape, dtype=np.int64)
+        digits = digits.reshape(-1, digits.shape[-1])
+        count = len(digits)
         radix = int(digits.max()) + 1
         if count * radix >= 2**62:  # renumbering the digits keeps their order
             digits = _dense(digits.ravel()).reshape(digits.shape)
@@ -305,39 +283,42 @@ class _RowLayout:
             block = digits[:, c : c + per]
             word = block @ radix ** np.arange(block.shape[1] - 1, -1, -1)
             keys = word if keys is None else _dense(keys) * radix ** block.shape[1] + word
-        return _dense(keys)
+        return _dense(keys).reshape(shape)
 
 
 class _Refiner:
-    """One refinement round of ``rwl1`` over a fixed index graph."""
+    """One refinement pass over a graph's edges, for a (B, n) table of
+    colors or one row of n; the ids are dense over the whole table."""
 
     def __init__(self, num_nodes: int, src, dst, rel, m: int):
         order = np.argsort(dst, kind="stable")
         self.src, self.dst, self.rel, self.m = src[order], dst[order], rel[order], m
         degree = np.bincount(self.dst, minlength=num_nodes)
         first_edge = np.cumsum(degree) - degree
-        # node v's row (own color, codes...) occupies flat[start[v]:][:1 + degree[v]]
-        starts = first_edge + np.arange(num_nodes)
-        self.own_at = starts
+        # v's row (own color, codes...) occupies flat[..., start[v]:][:1 + degree[v]]
+        self.own_at = starts = first_edge + np.arange(num_nodes)
         rank_in_row = np.arange(len(self.dst)) - first_edge[self.dst]
         self.code_at = starts[self.dst] + 1 + rank_in_row
         self.flat = np.full(num_nodes + len(self.dst) + 1, -1, dtype=np.int64)
         self.layout = _RowLayout(starts, degree + 1, len(self.flat) - 1)
 
     def __call__(self, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
-        codes = cols[self.src]
+        codes = cols.take(self.src, axis=-1)
         codes *= self.m
-        codes += self.rel
         span = (int(cols.max(initial=0)) + 1) * self.m
-        if len(cols) * span < 2**63:  # sort (target, code) as one int64 key
+        if cols.shape[-1] * span < 2**63:  # sort (target, code) as one int64 key
             shift = self.dst * span
-            codes += shift
+            codes += shift + self.rel
             codes.sort()
             codes -= shift
         else:
-            codes = codes[np.lexsort((codes, self.dst))]
-        self.flat[self.own_at] = own
-        self.flat[self.code_at] = codes
+            codes += self.rel
+            order = np.lexsort((codes, np.broadcast_to(self.dst, codes.shape)))
+            codes = np.take_along_axis(codes, order, axis=-1)
+        if self.flat.shape[:-1] != cols.shape[:-1]:  # one buffer per table shape
+            self.flat = np.full(cols.shape[:-1] + self.flat.shape[-1:], -1, dtype=np.int64)
+        self.flat[..., self.own_at] = own
+        self.flat[..., self.code_at] = codes
         return self.layout.rank(self.flat)
 
 
@@ -370,8 +351,9 @@ def run_test(
     (guaranteed within |V| iterations for arity 1 and |V|^2 for arity 2).
     Arity-2 tests require a pair coloring satisfying target node
     distinguishability unless ``allow_non_tnd`` waives the check.  They
-    refine an index graph over all |V|^2 pairs, and raise
-    :class:`NodeBudgetError` when its nodes plus edges exceed
+    refine all |V|^2 pairs as |V| rows over the facts, each round taking
+    one code per row and fact (two for ``rwl2``, one per pass), and raise
+    :class:`NodeBudgetError` when the pairs plus a round's codes exceed
     ``node_budget`` (default 10**6, overridable via the
     ``RELWL_NODE_BUDGET`` environment variable).
     """
@@ -394,8 +376,8 @@ def run_test(
         budget = _node_budget(node_budget)
         if size > budget:
             raise NodeBudgetError(
-                f"{test_id} refines {n * n} pairs; its index graph has "
-                f"{size} nodes plus edges, over the budget of {budget}"
+                f"{test_id} refines {n * n} pairs with {size - n * n} codes per "
+                f"round: {size} in all, over the budget of {budget}"
             )
         initial = G.pair_coloring.colors
     else:
@@ -403,12 +385,17 @@ def run_test(
     if horizon != "stabilize" and (not isinstance(horizon, int) or horizon < 0):
         raise ValidationError("horizon must be 'stabilize' or an iteration count")
 
-    refine = _Refiner(len(initial), *_index_graph(base, H))
-    colorings = [_dense(np.array(initial, dtype=np.int64))]
+    rel, src, dst = H.edges
+    refine = _Refiner(n, src, dst, rel, len(H.relation_names))
+    # one row of nodes, or row u holding the pairs (u, .)
+    colorings = [_dense(np.array(initial, dtype=np.int64)).reshape((n,) * arity)]
     stabilized_at: int | None = None
     steps = len(initial) + 1 if horizon == "stabilize" else horizon
     for t in range(steps):
-        colorings.append(refine(colorings[t], colorings[history(t)]))
+        cols = refine(colorings[t], colorings[history(t)])
+        if base == "rwl2":  # then move the first coordinate: the transposed pass
+            cols = refine(colorings[t].T, cols.T).T
+        colorings.append(cols)
         if stabilized_at is None and _same_partition(colorings[-1], colorings[t]):
             stabilized_at = t + 1
             if horizon == "stabilize":
@@ -420,7 +407,7 @@ def run_test(
         arity,
         n,
         G.node_names,
-        tuple(tuple(c.tolist()) for c in colorings),
+        tuple(tuple(c.ravel().tolist()) for c in colorings),
         stabilized_at,
     )
 

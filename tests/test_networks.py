@@ -172,6 +172,25 @@ def test_rmpnn_dimension_mismatch(graph_b):
         rmpnn_forward(graph_b, spec, [(Fraction(1),)] * graph_b.n)
 
 
+@pytest.mark.parametrize("dims", [(0, 0), (1, 0)])
+@pytest.mark.parametrize("mode", ["exact", "float64"])
+def test_spec_rejects_zero_widths(dims, mode):
+    g = from_triples([("a", "r", "b")])
+    x = [(Fraction(1),) * dims[0]] * g.n
+    with pytest.raises(ValidationError, match="dims must be positive widths"):
+        spec = NetworkSpec(
+            kind="rmpnn",
+            num_layers=1,
+            dims=dims,
+            weights=((),),
+            biases=(None,),
+            relation_params=({},),
+            theta_kind="scaling",
+            numeric_mode=mode,
+        )
+        rmpnn_forward(g, spec, x)
+
+
 # -- constructive node simulator ----------------------------------------------
 
 

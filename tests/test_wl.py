@@ -12,6 +12,7 @@ from relwl.errors import (
     ValidationError,
 )
 from relwl.graphs import (
+    PairColoring,
     default_pair_coloring,
     from_triples,
     permute_nodes,
@@ -320,3 +321,70 @@ def test_trace_export_shape(graph_a):
         tuple(member) for cls in doc["partitions"][0] for member in cls
     ]
     assert len(flattened) == graph_a.n**2
+
+
+# -- every error of relwl.wl --------------------------------------------------------------------
+
+
+def _ab():
+    """Two nodes, one relation, one fact, the diagonal pair coloring."""
+    return _diag(from_triples([("a", "r", "b")], node_order=("a", "b")))
+
+
+# (id, thunk, exception type, exact message).  Not listed: the
+# AssertionError run_test raises if a refinement fails to stabilize.  It
+# cannot be reached: each round refines the last (the own colors come from
+# a non-decreasing history), so the partition of N indices stops changing
+# within N + 1 rounds.
+ERROR_CASES = [
+    ("history-kind", lambda: HistoryFunction("one"), ValidationError,
+     "unknown history kind 'one'"),
+    ("history-table-missing", lambda: HistoryFunction("table"), ValidationError,
+     "table must be given exactly for kind='table'"),
+    ("history-table-given", lambda: HistoryFunction("zero", (0,)), ValidationError,
+     "table must be given exactly for kind='table'"),
+    ("history-entry-float", lambda: HistoryFunction.from_table([0, 0.5]), ValidationError,
+     "history table entries must be integers, got 0.5"),
+    ("history-entry-bool", lambda: HistoryFunction.from_table([False]), ValidationError,
+     "history table entries must be integers, got False"),
+    ("history-ahead", lambda: HistoryFunction.from_table([0, 2]), ValidationError,
+     "history table has f(1)=2 > 1"),
+    ("history-decreasing", lambda: HistoryFunction.from_table([0, 1, 0]), ValidationError,
+     "history table must be non-decreasing"),
+    ("history-short", lambda: HistoryFunction.from_table([0, 0])(2), ValidationError,
+     "history table covers iterations 0..1, asked for 2"),
+    ("run-test-id", lambda: run_test("wl9", _ab()), ValidationError,
+     "unknown test 'wl9'; expected one of ('rwl1', 'rawl2', 'rwl2', 'rawl2+', 'rwl2+')"),
+    ("run-no-pair-coloring", lambda: run_test("rwl2", from_triples([("a", "r", "b")])),
+     PreconditionError, "rwl2 needs a pair coloring on the graph"),
+    ("run-not-tnd",
+     lambda: run_test("rawl2", _ab().with_pair_coloring(PairColoring(2, (0,) * 4, ("s",)))),
+     PreconditionError,
+     "pair coloring lacks target node distinguishability; pass allow_non_tnd=True to waive"),
+    ("run-budget", lambda: run_test("rawl2+", _ab(), node_budget=7), NodeBudgetError,
+     "rawl2+ refines 4 pairs with 4 codes per round: 8 in all, over the budget of 7"),
+    ("run-horizon", lambda: run_test("rwl1", _ab(), horizon=-1), ValidationError,
+     "horizon must be 'stabilize' or an iteration count"),
+    ("index-node-id", lambda: run_test("rwl1", _ab()).index_of(2), UnknownEntityError,
+     "node id 2 out of range"),
+    ("index-pair", lambda: run_test("rawl2", _ab()).index_of(("a", 2)), UnknownEntityError,
+     "pair (0,2) out of range"),
+    ("index-name", lambda: run_test("rawl2", _ab()).index_of(("a", "zz")), UnknownEntityError,
+     "unknown node 'zz'"),
+    ("refines-index-sets", lambda: refines([0, 1], {0: 0, 2: 1}), ValidationError,
+     "colorings are over different index sets"),
+    ("refines-unreadable", lambda: refines("01", [0, 1]), ValidationError,
+     "cannot interpret str as a coloring"),
+]
+
+
+@pytest.mark.parametrize(
+    "thunk, exc, message",
+    [case[1:] for case in ERROR_CASES],
+    ids=[case[0] for case in ERROR_CASES],
+)
+def test_every_wl_error_is_reached(thunk, exc, message):
+    with pytest.raises(exc) as caught:
+        thunk()
+    assert type(caught.value) is exc
+    assert str(caught.value) == message

@@ -1,4 +1,4 @@
-"""Differential and property tests of the index-graph refinement kernel.
+"""Differential and property tests of the refinement kernel.
 
 The oracle is ``wl_reference``, the three hand-written signature rules the
 kernel replaced.
@@ -165,14 +165,17 @@ def test_stabilization_check_is_partition_equality(pairs):
 
 def test_huge_codes_stay_exact():
     # codes near 2**62 take the paths that avoid int64 overflow: the
-    # (target, code) lexsort and the renumbering of row digits
+    # (target, code) lexsort and the renumbering of row digits, for one row
+    # and for a table of two rows ranked together
     m = 2**61
     src, dst, rel = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 2]), np.array([0, 1, 0, 1])
-    cols, own = np.array([2, 0, 1]), np.zeros(3, dtype=np.int64)
-    got = _Refiner(3, src, dst, rel, m)(cols, own)
-    sigs = [
-        tuple(sorted(int(cols[s]) * m + int(r) for s, d, r in zip(src, dst, rel) if d == v))
-        for v in range(3)
-    ]
-    order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-    assert got.tolist() == [order[sig] for sig in sigs]
+    for cols in (np.array([2, 0, 1]), np.array([[2, 0, 1], [1, 2, 2]])):
+        own = np.zeros_like(cols)
+        got = _Refiner(3, src, dst, rel, m)(cols, own)
+        sigs = [
+            tuple(sorted(int(row[s]) * m + int(r) for s, d, r in zip(src, dst, rel) if d == v))
+            for row in cols.reshape(-1, 3)
+            for v in range(3)
+        ]
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        assert got.ravel().tolist() == [order[sig] for sig in sigs]

@@ -1,10 +1,10 @@
 """Reference refinement: the three hand-written signature rules, in Python.
 
 This is the engine ``relwl.wl`` ran before its rounds became one numpy
-kernel over index graphs.  It is kept as the oracle of the differential
-tests: same partitions at every iteration and the same ``stabilized_at``
-for all five tests, and the same color ids for ``rwl1``, ``rawl2`` and
-``rawl2+``.
+kernel over rows of colors on a graph's edges.  It is kept as the oracle
+of the differential tests: same partitions at every iteration and the
+same ``stabilized_at`` for all five tests, and the same color ids for
+``rwl1``, ``rawl2`` and ``rawl2+``.
 """
 
 from relwl.graphs import augment
