@@ -130,7 +130,7 @@ def _traces(G, runs: dict, horizon, label: str) -> tuple[dict, dict | None]:
     return traces, failure
 
 
-def _coloring_at(trace: WLTrace, t: int) -> tuple[int, ...]:
+def _coloring_at(trace: WLTrace, t: int):
     # Past stabilization the partition repeats, so clamping is sound.
     return trace.colorings[min(t, len(trace.colorings) - 1)]
 

@@ -24,7 +24,8 @@ into dense ids.  No hashing is involved, so partitions are exact.  The
 ``-1`` padding orders a row before every row it is a proper prefix of, so
 for ``rwl1`` and ``rawl2(+)`` the ids are those of sorting the signatures
 ``(own, sorted((color, rel)))`` as Python tuples.  Colorings are
-nevertheless meaningful only as partitions and only within one trace.
+nevertheless meaningful only as partitions and only within one trace, which
+keeps them as the kernel's int64 rows (``.tolist()`` gives Python ints).
 
 The node's own contribution to its signature is taken at iteration
 ``f(t)`` for a history function ``f`` (identity by default); neighbor
@@ -33,9 +34,9 @@ colors are always taken at iteration ``t``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,21 +119,22 @@ class HistoryFunction:
         return cls("table", tuple(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WLTrace:
     """Recorded colorings of one refinement run, indexed by iteration.
 
-    ``colorings[t]`` assigns a dense color id to every index (nodes for
-    arity 1, pairs ``u * n + v`` for arity 2).  ``stabilized_at`` is the
-    first iteration whose partition equals its predecessor's, when that
-    point was reached within the recorded horizon.
+    ``colorings`` is a read-only int64 array of shape (iterations + 1, N):
+    row ``t`` assigns a dense color id to every index (nodes for arity 1,
+    pairs ``u * n + v`` for arity 2); ``.tolist()`` gives Python ints.
+    ``stabilized_at`` is the first iteration whose partition equals its
+    predecessor's, when that point was reached within the recorded horizon.
     """
 
     test_id: str
     arity: int
     n: int
     node_names: tuple[str, ...]
-    colorings: tuple[tuple[int, ...], ...]
+    colorings: np.ndarray
     stabilized_at: int | None
 
     @property
@@ -169,14 +171,12 @@ class WLTrace:
         return [(u, v) for u in range(self.n) for v in range(self.n)]
 
     def to_json_dict(self) -> dict:
+        names = self.node_names
+        members = list(names) if self.arity == 1 else [[u, v] for u in names for v in names]
         partitions = []
         for cols in self.colorings:
             classes: dict[int, list] = {}
-            for key, color in zip(self.keys(), cols):
-                if self.arity == 1:
-                    member = self.node_names[key]
-                else:
-                    member = [self.node_names[key[0]], self.node_names[key[1]]]
+            for member, color in zip(members, cols.tolist()):
                 classes.setdefault(color, []).append(member)
             partitions.append(sorted(classes.values()))
         return {
@@ -187,34 +187,39 @@ class WLTrace:
         }
 
 
-def _as_assignment(coloring) -> dict:
-    if isinstance(coloring, Mapping):
-        return dict(coloring)
-    if isinstance(coloring, Sequence) and not isinstance(coloring, (str, bytes)):
-        return dict(enumerate(coloring))
+def _colors(coloring):
+    """A coloring as a mapping or a sequence; a 1-D array is read once."""
+    if isinstance(coloring, np.ndarray) and coloring.ndim == 1:
+        return coloring.tolist()
+    if isinstance(coloring, (Mapping, Sequence)) and not isinstance(coloring, (str, bytes)):
+        return coloring
     raise ValidationError(f"cannot interpret {type(coloring).__name__} as a coloring")
 
 
-def refines(finer, coarser) -> bool:
-    """True iff equal colors in ``finer`` imply equal colors in ``coarser``.
+def _aligned(a, b) -> tuple:
+    """Two colorings' colors aligned by index (a sequence maps index -> color)."""
+    a, b = _colors(a), _colors(b)
+    if isinstance(a, Mapping) or isinstance(b, Mapping):
+        a, b = (x if isinstance(x, Mapping) else dict(enumerate(x)) for x in (a, b))
+        if a.keys() == b.keys():
+            return a.values(), [b[key] for key in a]
+    elif len(a) == len(b):
+        return a, b
+    raise ValidationError("colorings are over different index sets")
 
-    Both arguments are mappings (or sequences, read as index -> color) over
-    the same index set; values only need to be hashable.
-    """
-    a, b = _as_assignment(finer), _as_assignment(coarser)
-    if a.keys() != b.keys():
-        raise ValidationError("colorings are over different index sets")
-    image: dict[Hashable, Hashable] = {}
-    for key, color in a.items():
-        target = b[key]
-        if image.setdefault(color, target) != target:
-            return False
-    return True
+
+def refines(finer, coarser) -> bool:
+    """True iff equal colors in ``finer`` imply equal colors in ``coarser``,
+    that is iff ``finer`` has as many classes as the pairs of aligned colors.
+    Both are mappings, sequences or 1-D arrays (index -> hashable color)."""
+    a, b = _aligned(finer, coarser)
+    return len(set(zip(a, b))) == len(set(a))
 
 
 def equivalent(a, b) -> bool:
     """Mutual refinement: the two colorings induce the same partition."""
-    return refines(a, b) and refines(b, a)
+    a, b = _aligned(a, b)
+    return len(set(a)) == len(set(zip(a, b))) == len(set(b))
 
 
 def _dense(keys: np.ndarray) -> np.ndarray:
@@ -402,14 +407,9 @@ def run_test(
                 break
     if horizon == "stabilize" and stabilized_at is None:  # pragma: no cover
         raise AssertionError("refinement failed to stabilize")
-    return WLTrace(
-        test_id,
-        arity,
-        n,
-        G.node_names,
-        tuple(tuple(c.ravel().tolist()) for c in colorings),
-        stabilized_at,
-    )
+    table = np.stack(colorings).reshape(len(colorings), n**arity)
+    table.flags.writeable = False
+    return WLTrace(test_id, arity, n, G.node_names, table, stabilized_at)
 
 
 def distinguishes(trace: WLTrace, x, y):
@@ -422,7 +422,7 @@ def distinguishes(trace: WLTrace, x, y):
     i, j = trace.index_of(x), trace.index_of(y)
     if i == j:
         return None
-    for t, cols in enumerate(trace.colorings):
-        if cols[i] != cols[j]:
-            return t
+    split = np.flatnonzero(trace.colorings[:, i] != trace.colorings[:, j])
+    if split.size:
+        return int(split[0])
     return None if trace.stabilized_at is not None else UNKNOWN

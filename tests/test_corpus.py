@@ -22,6 +22,16 @@ def test_all_fixture_claims_hold():
     assert observed == 9
 
 
+def test_claim_verdicts_are_python_ints():
+    # suite_fixtures writes repr(observed) into its witnesses and the cli
+    # dumps them as JSON, so a numpy int would show as np.int64(1) or fail
+    for name in FIXTURE_NAMES:
+        fx = fixture(name)
+        for claim in fx.claims:
+            _, observed = check_claim(fx, claim)
+            assert observed is None or type(observed) is int, (name, claim)
+
+
 def test_fixture_graphs_match_their_tables():
     ga = fixture("ga")
     assert set(ga.graph.node_names) == {"u", "v", "v'"}

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relwl.corpus import random_formula, random_kg
-from relwl.errors import FormulaSyntaxError, ValidationError
+from relwl.errors import FormulaSyntaxError, PreconditionError, ValidationError
 from relwl.graphs import default_pair_coloring, from_triples, product_square
 from relwl.logic import (
     And,
@@ -449,3 +450,79 @@ def test_both_evaluators_match_the_oracles(data):
         for v in range(g.n)
     ]
     assert all(type(value) is bool for value in pairs.values())
+
+
+# -- every error of relwl.logic ---------------------------------------------------------------
+
+
+def _ab():
+    """Two nodes colored c, one fact, the diagonal pair coloring."""
+    g = from_triples([("a", "r", "b")], node_order=("a", "b"))
+    return _diag(g.with_node_coloring({"a": "c", "b": "c"}))
+
+
+def _off_lattice():
+    """The classifier of A:c with its extraction weight halved: compile never
+    emits it, but CompiledClassifier takes any spec."""
+    compiled = compile_gml_to_rmpnn(parse_formula("A:c", "unary"), ["c"])
+    spec = dataclasses.replace(compiled.spec, weights=compiled.spec.weights[:-1] + (((0.5,),),))
+    return dataclasses.replace(compiled, spec=spec)
+
+
+BINARY = parse_formula("A:eq", "binary")
+UNARY = parse_formula("A:c", "unary")
+
+# (id, thunk, exception type, exact message), one per raise statement
+ERROR_CASES = [
+    ("guard-count", lambda: GuardedExists(0, "r", Atom("c")), ValidationError,
+     "counting quantifier needs N >= 1"),
+    ("formula-arity", lambda: Formula(Atom("c"), "ternary"), ValidationError,
+     "arity must be one of ('unary', 'binary')"),
+    ("parse-expect", lambda: parse_formula("(A:a A:b)"), FormulaSyntaxError,
+     "expected '&' (at position 5)"),
+    ("parse-label", lambda: parse_formula("A:"), FormulaSyntaxError,
+     "expected a label (at position 2)"),
+    ("parse-number", lambda: parse_formula("DIA[r,x](A:a)"), FormulaSyntaxError,
+     "expected a number (at position 6)"),
+    ("parse-count", lambda: parse_formula("DIA[r,0](A:a)"), FormulaSyntaxError,
+     "counting quantifier needs N >= 1 (at position 6)"),
+    ("parse-end", lambda: parse_formula("!"), FormulaSyntaxError,
+     "unexpected end of input (at position 1)"),
+    ("parse-character", lambda: parse_formula("?"), FormulaSyntaxError,
+     "unexpected character '?' (at position 0)"),
+    ("parse-trailing", lambda: parse_formula("A:a A:b"), FormulaSyntaxError,
+     "trailing input after formula (at position 4)"),
+    ("atoms-unknown", lambda: eval_gml_all(_ab(), parse_formula("A:zz", "unary")),
+     ValidationError, "formula references unknown node color(s): ['zz']"),
+    ("eval-gml-arity", lambda: eval_gml_all(_ab(), BINARY), ValidationError,
+     "node evaluation needs a unary formula"),
+    ("eval-rgfo3-arity", lambda: eval_rgfo3_all(_ab(), UNARY), ValidationError,
+     "pair evaluation needs a binary formula"),
+    ("eval-rgfo3-no-pairs", lambda: eval_rgfo3_all(from_triples([("a", "r", "b")]), BINARY),
+     PreconditionError, "pair evaluation needs a pair coloring"),
+    ("translate-to-gml", lambda: translate_rgfo3_to_gml(UNARY), ValidationError,
+     "expected a binary formula"),
+    ("translate-to-rgfo3", lambda: translate_gml_to_rgfo3(BINARY), ValidationError,
+     "expected a unary formula"),
+    ("classify-lattice", lambda: _off_lattice().classify(_ab()), AssertionError,
+     "compiled network left the 0/1 lattice"),
+    ("compile-arity", lambda: compile_gml_to_rmpnn(BINARY, ["eq"]), ValidationError,
+     "only unary formulas compile to node networks"),
+    ("classify-pairs-arity", lambda: classify_pairs_via_compile(UNARY, _ab()), ValidationError,
+     "expected a binary formula"),
+    ("classify-pairs-no-pairs",
+     lambda: classify_pairs_via_compile(BINARY, from_triples([("a", "r", "b")])),
+     PreconditionError, "pair classification needs a pair coloring"),
+]
+
+
+@pytest.mark.parametrize(
+    "thunk, exc, message",
+    [case[1:] for case in ERROR_CASES],
+    ids=[case[0] for case in ERROR_CASES],
+)
+def test_every_logic_error_is_reached(thunk, exc, message):
+    with pytest.raises(exc) as caught:
+        thunk()
+    assert type(caught.value) is exc
+    assert str(caught.value) == message

@@ -1,5 +1,7 @@
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from relwl.graphs import (
     product_square,
 )
 from relwl.wl import (
+    TEST_IDS,
     UNKNOWN,
     HistoryFunction,
     distinguishes,
@@ -108,6 +111,60 @@ def test_equivalent_examples():
     discrete = {0: 0, 1: 1, 2: 2}
     single = {0: 0, 1: 0, 2: 0}
     assert not equivalent(discrete, single)
+
+
+def _pairwise_refines(a, b):
+    """The definition: a_i = a_j implies b_i = b_j, for every i and j."""
+    return all(b[i] == b[j] for i in range(len(a)) for j in range(len(a)) if a[i] == a[j])
+
+
+def _trace_row(colors):
+    """A row of a read-only int64 table, as a trace holds its colorings."""
+    table = np.array(colors, dtype=np.int64).reshape(1, -1)
+    table.flags.writeable = False
+    return table[0]
+
+
+# the values FeatureTable.assignment returns: numerator tuples (exact) and
+# row bytes (float); distinct colors get distinct values
+MAPPED = {
+    "tuple": lambda c: (c // 2, c % 2),
+    "bytes": lambda c: np.array([c / 3]).tobytes(),
+}
+FORMS = ("tuple", "list", "row", "map-tuple", "map-bytes")
+
+
+def _form(kind, colors, keys, rng):
+    if kind == "tuple":
+        return tuple(colors)
+    if kind == "list":
+        return list(colors)
+    if kind == "row":
+        return _trace_row(colors)
+    order = list(range(len(colors)))
+    rng.shuffle(order)  # a mapping is aligned by key, not by insertion order
+    return {keys[i]: MAPPED[kind[4:]](colors[i]) for i in order}
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12),
+    st.sampled_from(FORMS),
+    st.sampled_from(FORMS),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_counting_rule_is_pairwise_refinement(pairs, kind_a, kind_b, pair_keys, rng):
+    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+    keys = list(range(len(pairs)))
+    if pair_keys and kind_a.startswith("map") and kind_b.startswith("map"):
+        keys = [(i // 4, i % 4) for i in keys]  # pair keys, as a pair table has
+    x, y = _form(kind_a, a, keys, rng), _form(kind_b, b, keys, rng)
+    a_b, b_a = _pairwise_refines(a, b), _pairwise_refines(b, a)
+    assert refines(x, y) == a_b
+    assert refines(y, x) == b_a
+    assert equivalent(x, y) == (a_b and b_a)
+    assert equivalent(y, x) == (a_b and b_a)
 
 
 # -- distinguishes --------------------------------------------------------------
@@ -311,6 +368,26 @@ def test_partitions_repeat_after_stabilization():
 # -- trace export -----------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("test_id", TEST_IDS)
+def test_colorings_are_one_read_only_int_table(test_id, graph_b):
+    trace = run_test(test_id, graph_b, horizon="stabilize")
+    n = graph_b.n ** (1 if test_id == "rwl1" else 2)
+    assert trace.colorings.shape == (trace.iterations + 1, n)
+    assert trace.colorings.dtype == np.int64
+    with pytest.raises(ValueError):
+        trace.colorings[0, 0] = 1
+    assert all(type(c) is int for row in trace.colorings for c in row.tolist())
+
+
+@pytest.mark.parametrize("test_id", ["rawl2+", "rwl2"])
+def test_trace_reports_are_plain_json(test_id, graph_b):
+    trace = run_test(test_id, graph_b, horizon="stabilize")
+    doc = json.loads(json.dumps(trace.to_json_dict()))
+    assert doc["stabilized_at"] == trace.stabilized_at
+    split = distinguishes(trace, ("u", "u"), ("u", "v"))  # the diagonal
+    assert split == 0 and type(split) is int
+
+
 def test_trace_export_shape(graph_a):
     trace = run_test("rawl2+", graph_a, horizon="stabilize")
     doc = trace.to_json_dict()
@@ -375,6 +452,22 @@ ERROR_CASES = [
      "colorings are over different index sets"),
     ("refines-unreadable", lambda: refines("01", [0, 1]), ValidationError,
      "cannot interpret str as a coloring"),
+    ("refines-lengths", lambda: refines([0, 1], [0, 1, 2]), ValidationError,
+     "colorings are over different index sets"),
+    ("equivalent-row-length", lambda: equivalent((0, 1), _trace_row([0])), ValidationError,
+     "colorings are over different index sets"),
+    ("equivalent-sequence-keys", lambda: equivalent({0: 0, 2: 1}, [0, 1]), ValidationError,
+     "colorings are over different index sets"),
+    ("equivalent-pair-keys", lambda: equivalent(_trace_row([0]), {(0, 0): 0}), ValidationError,
+     "colorings are over different index sets"),
+    ("refines-table", lambda: refines(np.zeros((2, 2), dtype=np.int64), [0, 1]),
+     ValidationError, "cannot interpret ndarray as a coloring"),
+    ("equivalent-0d-array", lambda: equivalent([0], np.array(3)), ValidationError,
+     "cannot interpret ndarray as a coloring"),
+    ("equivalent-scalar", lambda: equivalent(np.int64(3), [0]), ValidationError,
+     "cannot interpret int64 as a coloring"),
+    ("refines-set", lambda: refines([0, 1], {0, 1}), ValidationError,
+     "cannot interpret set as a coloring"),
 ]
 
 

@@ -8,7 +8,15 @@ same ``stabilized_at`` for all five tests, and the same color ids for
 """
 
 from relwl.graphs import augment
-from relwl.wl import HistoryFunction, equivalent
+from relwl.wl import HistoryFunction
+
+
+def _classes(colors) -> list:
+    """The partition of a coloring: its classes of indices, in order."""
+    classes: dict = {}
+    for i, color in enumerate(colors):
+        classes.setdefault(color, []).append(i)
+    return sorted(classes.values())
 
 
 def _dense_renumber(signatures: list) -> tuple[int, ...]:
@@ -49,7 +57,7 @@ def reference_run(test_id, G, history=None, horizon="stabilize"):
     steps = len(initial) + 1 if horizon == "stabilize" else horizon
     for t in range(steps):
         colorings.append(next_colors(colorings[t], colorings[history(t)]))
-        if stabilized_at is None and equivalent(colorings[-1], colorings[t]):
+        if stabilized_at is None and _classes(colorings[-1]) == _classes(colorings[t]):
             stabilized_at = t + 1
             if horizon == "stabilize":
                 break
